@@ -6,9 +6,10 @@
 // read with 4 contending threads. Absolute numbers are machine-dependent; the ordering
 // semaphore < monitor < serializer/path-controller is the reproducible shape.
 //
-// The runtime carries a MetricsRegistry, so after the timed loops the bench also prints
-// the per-mechanism contention profile (wait/hold percentiles, wakeups per admission)
-// that the mechanisms recorded about themselves while being driven.
+// Each configuration (the uncontended loops, the 4-thread contended loops) runs on its
+// own runtime with its own MetricsRegistry, so after the timed loops the bench prints
+// one per-mechanism contention profile (wait/hold percentiles, wakeups per admission)
+// per configuration, as the mechanisms recorded it about themselves.
 
 #include <cstdio>
 #include <string>
@@ -123,6 +124,30 @@ void PrintRegistryProfile(const MetricsRegistry& registry) {
                   .c_str());
 }
 
+// One configuration's runtime with the default instrumentation: its own registry and
+// always-on flight recorder, so its profile holds only its own loops. Attachments are
+// declared before the runtime so they outlive it.
+struct Stack {
+  Stack() {
+    rt.AttachMetrics(&registry);
+    rt.AttachFlightRecorder(&flight);
+  }
+  MetricsRegistry registry;
+  FlightRecorder flight;
+  OsRuntime rt;
+};
+
+void PrintProfile(const char* configuration, const Stack& stack) {
+  std::printf("Per-mechanism contention profile, %s (self-reported via the metrics "
+              "registry):\n",
+              configuration);
+  PrintRegistryProfile(stack.registry);
+  std::printf("flight recorder: %llu events recorded, %llu evicted (always on during "
+              "the timed loops)\n\n",
+              static_cast<unsigned long long>(stack.flight.recorded()),
+              static_cast<unsigned long long>(stack.flight.evicted()));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,15 +157,12 @@ int main(int argc, char** argv) {
               "%d reps) ===\n\n",
               kIters, options.repeats);
 
-  MetricsRegistry registry;
-  OsRuntime rt;
-  rt.AttachMetrics(&registry);
   // The always-on flight recorder IS the benchmarked configuration: the numbers below
   // include its per-event cost, and compare_baseline.py holds them to the same ±25%
   // envelope as the recorder-free baseline — the proof that recording is cheap enough
   // to leave on during steady-state measurement.
-  FlightRecorder flight;
-  rt.AttachFlightRecorder(&flight);
+  Stack uncontended;
+  Runtime& rt = uncontended.rt;
 
   SemaphoreRwReadersPriority sem_rw(rt);
   MonitorRwReadersPriority mon_rw(rt);
@@ -214,23 +236,25 @@ int main(int argc, char** argv) {
            (void)csp_buf.Remove(nullptr);
          }));
 
-  // Contended read: 4 threads hammering the same solution.
+  // Contended read: 4 threads hammering the same solution, on a stack of its own.
+  Stack contended;
+  SemaphoreRwReadersPriority sem_rw_contended(contended.rt);
+  MonitorRwReadersPriority mon_rw_contended(contended.rt);
+  SerializerRwReadersPriority ser_rw_contended(contended.rt);
   AddRow(rows, reporter, "read_contended4", "semaphore",
-         NsPerOpContended(options, rt, [&] { sem_rw.Read([] {}, nullptr); }));
+         NsPerOpContended(options, contended.rt,
+                          [&] { sem_rw_contended.Read([] {}, nullptr); }));
   AddRow(rows, reporter, "read_contended4", "monitor",
-         NsPerOpContended(options, rt, [&] { mon_rw.Read([] {}, nullptr); }));
+         NsPerOpContended(options, contended.rt,
+                          [&] { mon_rw_contended.Read([] {}, nullptr); }));
   AddRow(rows, reporter, "read_contended4", "serializer",
-         NsPerOpContended(options, rt, [&] { ser_rw.Read([] {}, nullptr); }));
+         NsPerOpContended(options, contended.rt,
+                          [&] { ser_rw_contended.Read([] {}, nullptr); }));
 
   std::printf("%s\n", RenderTable({"op", "mechanism", "ns/op"}, rows).c_str());
 
-  std::printf("Per-mechanism contention profile (self-reported via the metrics "
-              "registry):\n");
-  PrintRegistryProfile(registry);
-  std::printf("\nflight recorder: %llu events recorded, %llu evicted (always on during "
-              "the timed loops)\n",
-              static_cast<unsigned long long>(flight.recorded()),
-              static_cast<unsigned long long>(flight.evicted()));
+  PrintProfile("uncontended loops", uncontended);
+  PrintProfile("read_contended4 loops", contended);
 
   return reporter.Finish() ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "syneval/runtime/os_runtime.h"
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -23,6 +24,8 @@ namespace syneval {
 namespace {
 
 thread_local std::uint32_t g_os_thread_id = 0;
+// Its address identifies the calling thread (ids are 0 for every unmanaged thread).
+thread_local char g_os_thread_token = 0;
 
 // Consults the runtime's fault injector (if any) at `site`. Returns the decision;
 // throws out of the calling primitive when the decision is a kill. Under OsRuntime the
@@ -129,6 +132,9 @@ class OsMutex : public RtMutex {
         flight->Record(tid, FlightEventType::kAcquire, this, FlightNowNanos(rt_));
       }
     }
+    if (rt_->abortable()) {
+      owner_.store(&g_os_thread_token, std::memory_order_relaxed);
+    }
     try {
       if (FaultDecision fault = ConsultInjector(rt_, FaultSite::kLockPost)) {
         if (fault.kind == FaultKind::kStall) {
@@ -140,12 +146,23 @@ class OsMutex : public RtMutex {
       // stays sound (destroying or abandoning a locked std::mutex is undefined), but
       // skip OnRelease — to the detector and every observer the dead thread holds
       // this lock forever, which is the damage a mid-protocol death models.
+      owner_.store(nullptr, std::memory_order_relaxed);
       mu_.unlock();
       throw;
     }
   }
 
   void Unlock() override {
+    if (rt_->abortable()) {
+      // An abort unwind can reach the guard of a mutex this thread does not hold: a
+      // Wait whose re-acquisition gave up (LockBlocking) throws without it. Releasing
+      // then would free a peer's hold, so only the owner releases.
+      if (owner_.load(std::memory_order_relaxed) != &g_os_thread_token) {
+        assert(rt_->Aborting() && "OsMutex::Unlock by a thread that does not hold it");
+        return;
+      }
+      owner_.store(nullptr, std::memory_order_relaxed);
+    }
     if (AnomalyDetector* det = rt_->anomaly_detector()) {
       det->OnRelease(rt_->CurrentThreadId(), this);
       // Releases matter only for runs that can build a postmortem (detector
@@ -160,9 +177,10 @@ class OsMutex : public RtMutex {
 
  private:
   // Blocking acquisition. In abortable mode a try_lock poll loop that throws
-  // TrialAborted once RequestAbort() was called — without the lock held, so the
-  // caller's RAII guard never releases what was never acquired. The open OnBlock the
-  // contended path may have recorded is moot: the supervisor puts the detector into
+  // TrialAborted once RequestAbort() was called — without the lock held. A guard
+  // being constructed then never releases what was never acquired, and a guard around
+  // a Wait whose re-acquisition threw finds no ownership in Unlock(). The open OnBlock
+  // the contended path may have recorded is moot: the supervisor puts the detector into
   // SetAborting() before requesting the abort, and OnThreadFinish discards the
   // thread's wait records when the unwound thread exits.
   void LockBlocking() {
@@ -180,19 +198,21 @@ class OsMutex : public RtMutex {
 
   OsRuntime* rt_;
   std::mutex mu_;
+  // Abortable mode only: the holder's g_os_thread_token (see Unlock).
+  std::atomic<const char*> owner_{nullptr};
 };
 
 class OsCondVar : public RtCondVar {
  public:
   explicit OsCondVar(OsRuntime* rt) : rt_(rt) {
     if (rt_->abortable()) {
-      rt_->RegisterAbortWaiter(&cv_);
+      rt_->RegisterAbortWaiter(&gate_);
     }
   }
 
   ~OsCondVar() override {
     if (rt_->abortable()) {
-      rt_->UnregisterAbortWaiter(&cv_);
+      rt_->UnregisterAbortWaiter(&gate_);
     }
   }
 
@@ -202,29 +222,24 @@ class OsCondVar : public RtCondVar {
     return WaitImpl(mutex, timeout_nanos == 0 ? 1 : timeout_nanos);
   }
 
-  void NotifyOne() override {
-    if (FaultDecision fault = ConsultInjector(rt_, FaultSite::kNotifyOne)) {
+  void NotifyOne() override { Notify(FaultSite::kNotifyOne, /*broadcast=*/false); }
+
+  void NotifyAll() override { Notify(FaultSite::kNotifyAll, /*broadcast=*/true); }
+
+ private:
+  void Notify(FaultSite site, bool broadcast) {
+    if (FaultDecision fault = ConsultInjector(rt_, site)) {
       if (fault.kind == FaultKind::kDropSignal) {
         return;  // The notify vanishes below the mechanism; no waiter ever wakes.
       }
     }
-    Signal(/*broadcast=*/false);
-    BumpNotifyGeneration();
-    cv_.notify_one();
-  }
-
-  void NotifyAll() override {
-    if (FaultDecision fault = ConsultInjector(rt_, FaultSite::kNotifyAll)) {
-      if (fault.kind == FaultKind::kDropSignal) {
-        return;
-      }
+    // No waiter counted: every uncontended V or region exit ends here, without the
+    // gate or a futex call.
+    if (Signal(broadcast) > 0) {
+      gate_.Wake(broadcast);
     }
-    Signal(/*broadcast=*/true);
-    BumpNotifyGeneration();
-    cv_.notify_all();
   }
 
- private:
   // Shared Wait/WaitFor body; timeout_nanos == 0 means untimed. Returns false iff the
   // deadline expired before a notification arrived.
   bool WaitImpl(RtMutex& mutex, std::uint64_t timeout_nanos) {
@@ -243,24 +258,16 @@ class OsCondVar : public RtCondVar {
       return WaitBlocking(mutex, timeout_nanos);
     }
     const std::uint32_t tid = rt_->CurrentThreadId();
-    waiting_.fetch_add(1, std::memory_order_relaxed);
     if (det != nullptr) {
       det->OnBlock(tid, this);
     }
     if (flight != nullptr) {
       flight->Record(tid, FlightEventType::kBlock, this, FlightNowNanos(rt_));
     }
-    bool notified = true;
-    try {
-      notified = WaitBlocking(mutex, timeout_nanos);
-    } catch (const TrialAborted&) {
-      // Force-unwound by the supervisor's reaper: keep the waiter count sound and
-      // rethrow with the mutex re-held (WaitBlocking re-acquired it), so the caller's
-      // RAII unlock stays valid. The detector is in SetAborting() by now, so the
-      // missing OnWake is moot — OnThreadFinish discards the record.
-      waiting_.fetch_sub(1, std::memory_order_relaxed);
-      throw;
-    }
+    // A TrialAborted out of WaitBlocking needs no cleanup here: the detector is in
+    // SetAborting() by then, so the missing OnWake is moot (OnThreadFinish discards
+    // the record).
+    const bool notified = WaitBlocking(mutex, timeout_nanos);
     if (det != nullptr) {
       det->OnWake(tid, this);
     }
@@ -274,64 +281,58 @@ class OsCondVar : public RtCondVar {
       // Timeout wakes draw no flow edge: no signal caused them.
       tracer->OnWake(this, tid, rt_->NowNanos());
     }
-    waiting_.fetch_sub(1, std::memory_order_relaxed);
     return notified;
   }
 
-  // The underlying wait, shared by the fast and instrumented paths of WaitImpl;
+  // The gate protocol, shared by the fast and instrumented paths of WaitImpl;
   // timeout_nanos == 0 means untimed. Returns false iff the deadline expired first.
   //
-  // In abortable mode the wait runs in poll-length slices so a reaped trial unwinds
-  // within one slice: each slice re-checks the abort flag (throwing TrialAborted with
-  // the mutex re-held) and otherwise keeps waiting. A slice expiry is NOT a wakeup —
-  // the loop re-arms — so detector wait ages keep measuring the full wait and genuine
-  // hangs still age past the watchdog threshold. Re-arming opens the classic gap where
-  // a notify lands between two slices (no thread inside the OS wait); the notify
-  // generation counter closes it: the generation is sampled under the user mutex
-  // before the first slice, notifiers bump it before cv_.notify, and any slice that
-  // observes a newer generation returns as notified (a spurious wakeup for every
-  // slicing waiter but the intended one — permitted by the RtCondVar contract).
+  // The waiter counts itself and takes the gate while still holding the user mutex,
+  // then releases the user mutex through RtMutex::Unlock() and sleeps on the gate.
+  // A notifier that saw the state change this waiter is about to sleep on took the
+  // user mutex after that release, so it sees the count and, passing through the gate
+  // before it notifies, cannot notify before the waiter is asleep. On return the gate
+  // is dropped first and the user mutex re-acquired through RtMutex::Lock(), so every
+  // lock hook and fault site fires exactly as for any other acquisition.
+  //
+  // Abortable mode needs no poll slices here: RequestAbort() sets the flag and then
+  // passes every registered gate before its notify_all, so a waiter that found the
+  // flag clear under the gate is asleep before that wake. It then throws TrialAborted
+  // with the user mutex re-held, or from RtMutex::Lock() without it when a peer holds
+  // the mutex (the caller's guard then releases nothing; see OsMutex::Unlock).
   bool WaitBlocking(RtMutex& mutex, std::uint64_t timeout_nanos) {
-    if (!rt_->abortable()) {
-      if (timeout_nanos == 0) {
-        cv_.wait(mutex);
-        return true;
-      }
-      // One absolute Deadline computed up front: however many times the underlying
-      // wait is interrupted, it resumes the same instant (no spurious-wakeup drift).
-      const Deadline deadline = Deadline::AfterNanos(timeout_nanos);
-      return cv_.wait_until(mutex, deadline.time_point()) == std::cv_status::no_timeout;
-    }
-    const std::uint64_t generation = notify_generation_.load(std::memory_order_acquire);
-    const Deadline deadline = Deadline::AfterNanos(
-        timeout_nanos == 0 ? ~std::uint64_t{0} >> 1 : timeout_nanos);
-    for (;;) {
-      Deadline slice = Deadline::After(rt_->abort_poll());
-      if (timeout_nanos != 0 && deadline.time_point() < slice.time_point()) {
-        slice = deadline;
-      }
-      const bool woke =
-          cv_.wait_until(mutex, slice.time_point()) == std::cv_status::no_timeout;
-      if (rt_->Aborting()) {
-        throw TrialAborted{};
-      }
-      if (woke || notify_generation_.load(std::memory_order_acquire) != generation) {
-        return true;
-      }
-      if (timeout_nanos != 0 && deadline.Expired()) {
-        return false;
+    bool notified = true;
+    waiters_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::unique_lock<std::mutex> gate(gate_.mu);
+      mutex.Unlock();
+      if (!(rt_->abortable() && rt_->Aborting())) {
+        if (timeout_nanos == 0) {
+          gate_.cv.wait(gate);
+        } else {
+          // One absolute deadline: a spurious wakeup returns rather than re-arms.
+          const Deadline deadline = Deadline::AfterNanos(timeout_nanos);
+          notified = gate_.cv.wait_until(gate, deadline.time_point()) ==
+                     std::cv_status::no_timeout;
+        }
       }
     }
+    try {
+      mutex.Lock();
+    } catch (...) {
+      waiters_.fetch_sub(1, std::memory_order_relaxed);
+      throw;
+    }
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+    if (rt_->abortable() && rt_->Aborting()) {
+      throw TrialAborted{};
+    }
+    return notified;
   }
 
-  void BumpNotifyGeneration() {
-    if (rt_->abortable()) {
-      notify_generation_.fetch_add(1, std::memory_order_release);
-    }
-  }
-
-  void Signal(bool broadcast) {
-    const int waiting = static_cast<int>(waiting_.load(std::memory_order_relaxed));
+  // Reports the notification to the attachments; returns the waiter count it saw.
+  int Signal(bool broadcast) {
+    const int waiting = waiters_.load(std::memory_order_relaxed);
     AnomalyDetector* det = rt_->anomaly_detector();
     if (det != nullptr) {
       det->OnSignal(rt_->CurrentThreadId(), this, waiting, broadcast);
@@ -351,16 +352,16 @@ class OsCondVar : public RtCondVar {
             FlightNowNanos(rt_), static_cast<std::uint64_t>(waiting));
       }
     }
+    return waiting;
   }
 
   OsRuntime* rt_;
-  std::condition_variable_any cv_;
-  // Approximate waiter count for signal accounting; racy by nature under preemption
-  // (the watchdog is a sampler, not an exact oracle), incremented before releasing the
-  // user mutex in Wait so signal-while-holding-the-mutex sees it consistently.
-  std::atomic<int> waiting_{0};
-  // Bumped per notify in abortable mode; see WaitBlocking for the gap it closes.
-  std::atomic<std::uint64_t> notify_generation_{0};
+  OsRuntime::WaitGate gate_;
+  // Threads between counting themselves in WaitBlocking (under the user mutex, before
+  // releasing it) and re-acquiring the user mutex after the wait. Exact for a notifier
+  // that holds the user mutex or changed the waited-on state under it, which is what
+  // makes the zero fast path in Notify safe.
+  std::atomic<int> waiters_{0};
 };
 
 class OsThread : public RtThread {
@@ -397,23 +398,23 @@ OsRuntime::~OsRuntime() { StopAnomalyWatchdog(); }
 
 void OsRuntime::RequestAbort() {
   aborting_.store(true, std::memory_order_release);
-  // Wake every sleeping condvar waiter so the poll loops observe the flag now rather
-  // than a slice later. Holding abort_mu_ across the notifies keeps the registered
-  // pointers alive (unregistration blocks on the same mutex).
+  // Wake every sleeping condvar waiter through its gate, so one that checked the flag
+  // before the store is asleep by the time the notify lands. Holding abort_mu_ across
+  // the wakes keeps the registered gates alive (unregistration blocks on it).
   std::lock_guard<std::mutex> lock(abort_mu_);
-  for (std::condition_variable_any* cv : abort_waiters_) {
-    cv->notify_all();
+  for (WaitGate* gate : abort_waiters_) {
+    gate->Wake(/*all=*/true);
   }
 }
 
-void OsRuntime::RegisterAbortWaiter(std::condition_variable_any* cv) {
+void OsRuntime::RegisterAbortWaiter(WaitGate* gate) {
   std::lock_guard<std::mutex> lock(abort_mu_);
-  abort_waiters_.insert(cv);
+  abort_waiters_.insert(gate);
 }
 
-void OsRuntime::UnregisterAbortWaiter(std::condition_variable_any* cv) {
+void OsRuntime::UnregisterAbortWaiter(WaitGate* gate) {
   std::lock_guard<std::mutex> lock(abort_mu_);
-  abort_waiters_.erase(cv);
+  abort_waiters_.erase(gate);
 }
 
 std::unique_ptr<RtMutex> OsRuntime::CreateMutex() {

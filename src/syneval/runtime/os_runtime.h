@@ -1,15 +1,29 @@
 // OsRuntime: the Runtime implementation over real preemptive std::thread.
 //
-// Used by the benchmarks (wall-clock cost of each mechanism) and by stress tests. All
-// primitives are thin wrappers; the added machinery is logical thread ids (which the
-// trace layer uses to label events) and, when an AnomalyDetector is attached, blocking
-// hooks on the primitives plus an optional sampling watchdog thread that periodically
-// calls AnomalyDetector::Poll() to flag long-stuck waits in live runs.
+// Used by the benchmarks (wall-clock cost of each mechanism) and by stress tests.
+// Mutexes wrap std::mutex. Each condition variable is a std::condition_variable
+// behind a private gate mutex (WaitGate) plus one waiter count:
+//
+//   * Wait/WaitFor count the waiter and take the gate while still holding the user
+//     mutex, release the user mutex through RtMutex::Unlock(), sleep on the gate, drop
+//     it, and re-acquire the user mutex through RtMutex::Lock(). Every detector and
+//     flight hook and every lock fault site therefore fires as for any acquisition.
+//   * NotifyOne/NotifyAll skip the wake entirely when the count is zero (every
+//     uncontended V or region exit). Otherwise they pass through the gate (lock,
+//     unlock) and only then notify, so the woken thread never runs into a held lock.
+//   * The count is decremented after the user mutex is re-held, on abort unwinds too,
+//     and is the waiter count the attachments see for each signal.
+//
+// The other added machinery is logical thread ids (which the trace layer uses to label
+// events) and, when an AnomalyDetector is attached, blocking hooks on the primitives
+// plus an optional sampling watchdog thread that periodically calls
+// AnomalyDetector::Poll() to flag long-stuck waits in live runs.
 //
 // Abortable mode (opt-in, for supervised trials — runtime/supervisor.h): blocking
-// acquisitions and waits become short poll loops that check an abort flag, so a
-// supervisor's reaper can force-unwind a genuinely deadlocked trial through the
-// Runtime::Aborting() seam instead of stalling the whole sweep. See RequestAbort().
+// mutex acquisitions become short poll loops that check an abort flag, and condvar
+// waiters are woken through their gates, so a supervisor's reaper can force-unwind a
+// genuinely deadlocked trial through the Runtime::Aborting() seam instead of stalling
+// the whole sweep. See RequestAbort().
 
 #ifndef SYNEVAL_RUNTIME_OS_RUNTIME_H_
 #define SYNEVAL_RUNTIME_OS_RUNTIME_H_
@@ -40,8 +54,9 @@ class OsRuntime : public Runtime {
   struct Options {
     // Abortable mode. Off (the default), blocking primitives call straight into the
     // OS — zero overhead, but a deadlocked trial can only be reaped by the process
-    // sandbox. On, blocked threads poll the abort flag every `abort_poll`, trading a
-    // bounded wakeup latency for cooperative force-unwind via RequestAbort().
+    // sandbox. On, threads blocked on a mutex poll the abort flag every `abort_poll`
+    // and condvar waiters are woken by RequestAbort() itself, trading a bounded wakeup
+    // latency for cooperative force-unwind.
     bool abortable = false;
     std::chrono::microseconds abort_poll{200};
   };
@@ -65,10 +80,29 @@ class OsRuntime : public Runtime {
   bool abortable() const { return options_.abortable; }
   std::chrono::microseconds abort_poll() const { return options_.abort_poll; }
 
+  // A condvar's sleep gate: waiters sleep on `cv` holding `mu` (see the header
+  // comment).
+  struct WaitGate {
+    std::mutex mu;
+    std::condition_variable cv;
+
+    // Passes through `mu` (lock, unlock), then notifies: a waiter that took `mu`
+    // before the caller's state change is asleep by then, and the woken thread finds
+    // `mu` free.
+    void Wake(bool all) {
+      { std::lock_guard<std::mutex> lock(mu); }
+      if (all) {
+        cv.notify_all();
+      } else {
+        cv.notify_one();
+      }
+    }
+  };
+
   // Internal registry (used by the runtime's condvars): RequestAbort() must wake
-  // sleeping waiters, so every live OsCondVar registers its std::condition_variable.
-  void RegisterAbortWaiter(std::condition_variable_any* cv);
-  void UnregisterAbortWaiter(std::condition_variable_any* cv);
+  // sleeping waiters, so every live condvar of an abortable runtime registers its gate.
+  void RegisterAbortWaiter(WaitGate* gate);
+  void UnregisterAbortWaiter(WaitGate* gate);
 
   std::unique_ptr<RtMutex> CreateMutex() override;
   std::unique_ptr<RtCondVar> CreateCondVar() override;
@@ -119,7 +153,7 @@ class OsRuntime : public Runtime {
 
   std::atomic<bool> aborting_{false};
   std::mutex abort_mu_;
-  std::set<std::condition_variable_any*> abort_waiters_;
+  std::set<WaitGate*> abort_waiters_;
 
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

@@ -90,6 +90,16 @@ std::uint64_t Histogram::BucketUpperBound(int bucket) {
 }
 
 void Histogram::Record(std::uint64_t value) {
+  if (value == 0) {
+    // Every uncontended admission records a zero wait. It adds nothing to the sum and
+    // can never raise the max, and 0 is the least value, so a plain store is a
+    // correct min update whatever other recorders race with it.
+    buckets_[0].fetch_add(1, std::memory_order_relaxed);
+    if (min_.load(std::memory_order_relaxed) != 0) {
+      min_.store(0, std::memory_order_relaxed);
+    }
+    return;
+  }
   buckets_[static_cast<std::size_t>(BucketFor(value))].fetch_add(1,
                                                                  std::memory_order_relaxed);
   sum_.Add(value);

@@ -132,6 +132,32 @@ TEST(HistogramTest, PercentileEndpointsMatchMinAndMax) {
   EXPECT_EQ(h.Percentile(250), h.Percentile(100));
 }
 
+TEST(HistogramTest, ZeroHeavySamplesKeepSumMinMaxAndMedian) {
+  // Mostly zeros, as the wait histogram of an uncontended mechanism records.
+  Histogram h;
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const std::uint64_t value = i % 10 == 3 ? 100 + i : 0;
+    h.Record(value);
+    sum += value;
+  }
+  EXPECT_EQ(h.Count(), 1000u);
+  EXPECT_EQ(h.Sum(), sum);
+  EXPECT_EQ(h.Min(), 0u);
+  EXPECT_EQ(h.Max(), 100u + 993u);
+  EXPECT_EQ(h.Percentile(50), 0u);
+  EXPECT_EQ(h.BucketCounts()[0], 900u);
+
+  // A zero recorded after only non-zero samples still lowers the min.
+  Histogram late;
+  late.Record(7);
+  late.Record(0);
+  EXPECT_EQ(late.Min(), 0u);
+  EXPECT_EQ(late.Max(), 7u);
+  EXPECT_EQ(late.Sum(), 7u);
+  EXPECT_EQ(late.Percentile(50), 0u);
+}
+
 // ---- MergeWorkerTelemetry ---------------------------------------------------------------
 
 TEST(MergeWorkerTelemetryTest, MergeIntoEmptyCopiesShard) {
