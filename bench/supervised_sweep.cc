@@ -48,43 +48,36 @@ BufferWorkloadParams SmallBufferWorkload() {
 
 // Healthy cell: a short real-thread bounded-buffer run checked by its oracle.
 template <typename Buffer>
-SupervisableTrialFactory HealthyCell() {
-  return [](std::uint64_t) {
-    return MakeSupervisableOsTrial([](OsRuntime& rt) {
-      TraceRecorder trace;
-      Buffer buffer(rt, 5);
-      ThreadList threads =
-          SpawnBoundedBufferWorkload(rt, buffer, trace, SmallBufferWorkload());
-      JoinAll(threads);
-      return CheckBoundedBuffer(trace.Events(), 5);
-    });
-  };
+SeededTrial HealthyCell() {
+  return MakeSupervisableOsTrial([](OsRuntime& rt, std::uint64_t) {
+    TraceRecorder trace;
+    Buffer buffer(rt, 5);
+    ThreadList threads = SpawnBoundedBufferWorkload(rt, buffer, trace, SmallBufferWorkload());
+    JoinAll(threads);
+    return CheckBoundedBuffer(trace.Events(), 5);
+  });
 }
 
 // Hung cell: waits forever on a condvar nobody signals. Only the reaper (or the
 // sandbox's SIGKILL) can end it.
-SupervisableTrialFactory HungCell() {
-  return [](std::uint64_t) {
-    return MakeSupervisableOsTrial([](OsRuntime& rt) -> std::string {
-      std::unique_ptr<RtMutex> mu = rt.CreateMutex();
-      std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
-      std::unique_lock<RtMutex> lock(*mu);
-      while (true) {  // Predicate is forever false; Wait unwinds via TrialAborted.
-        cv->Wait(*mu);
-      }
-    });
-  };
+SeededTrial HungCell() {
+  return MakeSupervisableOsTrial([](OsRuntime& rt, std::uint64_t) -> std::string {
+    std::unique_ptr<RtMutex> mu = rt.CreateMutex();
+    std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
+    std::unique_lock<RtMutex> lock(*mu);
+    while (true) {  // Predicate is forever false; Wait unwinds via TrialAborted.
+      cv->Wait(*mu);
+    }
+  });
 }
 
 // Crashing cell: the trial body dies on every seed. In-process this is an escaping
 // exception; under --sandbox=1 the whole child process exits abnormally.
-SupervisableTrialFactory CrashCell() {
-  return [](std::uint64_t seed) {
-    return MakeSupervisableOsTrial([seed](OsRuntime&) -> std::string {
-      throw std::runtime_error("synthetic defect: trial state corrupted at seed " +
-                               std::to_string(seed));
-    });
-  };
+SeededTrial CrashCell() {
+  return MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t seed) -> std::string {
+    throw std::runtime_error("synthetic defect: trial state corrupted at seed " +
+                             std::to_string(seed));
+  });
 }
 
 }  // namespace

@@ -1,22 +1,21 @@
 #include "syneval/fault/chaos.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "syneval/anomaly/detector.h"
 #include "syneval/fault/injector.h"
 #include "syneval/telemetry/flight_recorder.h"
+#include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/postmortem.h"
 #include "syneval/problems/oracles.h"
 #include "syneval/problems/virtual_disk.h"
 #include "syneval/problems/workloads.h"
+#include "syneval/runtime/checkpoint.h"
 #include "syneval/runtime/det_runtime.h"
 #include "syneval/solutions/ccr_solutions.h"
 #include "syneval/solutions/monitor_solutions.h"
@@ -64,40 +63,71 @@ FaultPlan SeededPlan(const FaultPlan& plan, std::uint64_t schedule_seed) {
   return seeded;
 }
 
-ChaosReplayResult FinishTrial(const DetRuntime::RunResult& result,
-                              const AnomalyDetector& detector,
-                              const std::optional<FaultInjector>& injector,
-                              const std::string& oracle_verdict,
-                              const FlightRecorder& flight, const TraceRecorder& trace) {
-  ChaosReplayResult replay;
-  ChaosTrialOutcome& out = replay.outcome;
-  out.completed = result.completed;
-  // A supervisor-aborted run is a hang for calibration purposes: the reaper only
-  // fires past the wall-clock deadline, and routing the reap through the normal
-  // result keeps its injector counts and diagnosis in the fold — a reaped genuine
-  // hang still counts toward recall instead of vanishing.
-  out.hung = result.deadlocked || result.step_limit || result.aborted;
-  out.steps = result.steps;
-  out.anomalies = detector.counts().total();
-  out.flight_evicted = flight.evicted();
-  if (injector.has_value()) {
-    out.injected = injector->injected_count();
-    out.first_injection_step = injector->first_injection_nanos() / 1000;
+// One chaos trial's stack: detector, trace, flight recorder, the injector when a plan
+// is given, the runtime, and the supervision seam. The attachments are declared before
+// the runtime so they outlive it (runtime.h). Mirrors conformance's TrialProbe with the
+// fault seam added.
+struct ChaosStack {
+  ChaosStack(std::uint64_t seed, const FaultPlan* plan)
+      : runtime(MakeRandomSchedule(seed), ChaosOptions()) {
+    detector.AttachTrace(&trace);
+    trace.SetObserver(&detector);
+    trace.SetSecondaryObserver(&flight);
+    runtime.AttachAnomalyDetector(&detector);
+    runtime.AttachFlightRecorder(&flight);
+    if (plan != nullptr) {
+      injector.emplace(SeededPlan(*plan, seed));
+      runtime.AttachFaultInjector(&*injector);
+    }
+    // Supervision seam, registered once the stack is wired: the runtime's abort goes
+    // to the thread's installed TrialAbortSlot (a no-op on unsupervised runs — see
+    // runtime/supervisor.h). The abort path diagnoses and tears down through Run(), so
+    // Finish sees a normal aborted result.
+    abort_scope.emplace([this] { runtime.RequestAbort(); },
+                        [this] { return ObservePostmortem(flight, detector); });
   }
-  if (result.completed) {
-    out.oracle_failed = !oracle_verdict.empty();
-    out.report = oracle_verdict;
-  } else {
-    out.report = result.report;
+
+  // Folds the run and the oracle verdict ("" unless the run completed) into the
+  // trial's outcome, with the full capture kept for replay.
+  ChaosReplayResult Finish(const DetRuntime::RunResult& result,
+                           const std::string& oracle_verdict) {
+    ChaosReplayResult replay;
+    ChaosTrialOutcome& out = replay.outcome;
+    out.completed = result.completed;
+    // A supervisor-aborted run is a hang for calibration purposes: the reaper only
+    // fires past the wall-clock deadline, and routing the reap through the normal
+    // result keeps its injector counts and diagnosis in the fold — a reaped genuine
+    // hang still counts toward recall instead of vanishing.
+    out.hung = result.deadlocked || result.step_limit || result.aborted;
+    out.steps = result.steps;
+    out.anomalies = detector.counts().total();
+    out.flight_evicted = flight.evicted();
+    if (injector.has_value()) {
+      out.injected = injector->injected_count();
+      out.first_injection_step = injector->first_injection_nanos() / 1000;
+    }
+    if (result.completed) {
+      out.oracle_failed = !oracle_verdict.empty();
+      out.report = oracle_verdict;
+    } else {
+      out.report = result.report;
+    }
+    if (out.hung || out.oracle_failed || out.anomalies > 0) {
+      replay.postmortem = BuildPostmortem(flight, &detector);
+      out.postmortem_cause = replay.postmortem.cause;
+      out.postmortem = replay.postmortem.ToText();
+    }
+    replay.events = trace.Events();
+    return replay;
   }
-  if (out.hung || out.oracle_failed || out.anomalies > 0) {
-    replay.postmortem = BuildPostmortem(flight, &detector);
-    out.postmortem_cause = replay.postmortem.cause;
-    out.postmortem = replay.postmortem.ToText();
-  }
-  replay.events = trace.Events();
-  return replay;
-}
+
+  AnomalyDetector detector;
+  TraceRecorder trace;
+  FlightRecorder flight{ChaosFlightOptions()};
+  std::optional<FaultInjector> injector;
+  DetRuntime runtime;
+  std::optional<TrialAbortScope> abort_scope;
+};
 
 // Builds a ChaosCase from its rich replay function; the sweep-facing trial is the same
 // run with the event capture discarded.
@@ -114,9 +144,7 @@ ChaosCase MakeCase(Mechanism mechanism, std::string problem, std::string display
   return chaos_case;
 }
 
-// Generic chaos trial: fresh runtime + detector + flight recorder (+ injector when a
-// plan is given), solution, workload, run, oracle. Mirrors conformance's MakeTrial
-// with the fault seam added.
+// Generic chaos trial: fresh stack, solution, workload, run, oracle.
 template <typename SolutionT>
 ChaosReplayFn MakeChaosTrial(
     std::function<std::unique_ptr<SolutionT>(Runtime&)> make,
@@ -124,38 +152,12 @@ ChaosReplayFn MakeChaosTrial(
     std::function<std::string(const std::vector<Event>&)> check) {
   return [make = std::move(make), spawn = std::move(spawn), check = std::move(check)](
              std::uint64_t seed, const FaultPlan* plan) -> ChaosReplayResult {
-    DetRuntime runtime(MakeRandomSchedule(seed), ChaosOptions());
-    AnomalyDetector detector;
-    TraceRecorder trace;
-    FlightRecorder flight{ChaosFlightOptions()};
-    detector.AttachTrace(&trace);
-    trace.SetObserver(&detector);
-    trace.SetSecondaryObserver(&flight);
-    runtime.AttachAnomalyDetector(&detector);
-    runtime.AttachFlightRecorder(&flight);
-    std::optional<FaultInjector> injector;
-    if (plan != nullptr) {
-      injector.emplace(SeededPlan(*plan, seed));
-      runtime.AttachFaultInjector(&*injector);
-    }
-    // Supervision seam: registers the runtime's abort with the thread's installed
-    // TrialAbortSlot (a no-op on unsupervised runs — see runtime/supervisor.h). The
-    // abort path diagnoses and tears down through Run(), so FinishTrial sees a
-    // normal aborted result.
-    TrialAbortScope abort_scope([&runtime] { runtime.RequestAbort(); },
-                                [&flight, &detector] {
-                                  const Postmortem pm = BuildPostmortem(flight, &detector);
-                                  TrialObservation obs;
-                                  obs.cause = pm.cause;
-                                  obs.text = pm.empty() ? std::string() : pm.ToText();
-                                  return obs;
-                                });
-    std::unique_ptr<SolutionT> solution = make(runtime);
-    ThreadList threads = spawn(runtime, *solution, trace);
-    const DetRuntime::RunResult result = runtime.Run();
-    return FinishTrial(result, detector, injector,
-                       result.completed ? check(trace.Events()) : std::string(), flight,
-                       trace);
+    ChaosStack stack(seed, plan);
+    std::unique_ptr<SolutionT> solution = make(stack.runtime);
+    ThreadList threads = spawn(stack.runtime, *solution, stack.trace);
+    const DetRuntime::RunResult result = stack.runtime.Run();
+    return stack.Finish(result,
+                        result.completed ? check(stack.trace.Events()) : std::string());
   };
 }
 
@@ -234,41 +236,20 @@ struct ChaosSuiteBuilder {
     ChaosReplayFn replay = [make = std::move(make), params](
                                std::uint64_t seed,
                                const FaultPlan* plan) -> ChaosReplayResult {
-      DetRuntime runtime(MakeRandomSchedule(seed), ChaosOptions());
-      AnomalyDetector detector;
-      TraceRecorder trace;
-      FlightRecorder flight{ChaosFlightOptions()};
-      detector.AttachTrace(&trace);
-      trace.SetObserver(&detector);
-      trace.SetSecondaryObserver(&flight);
-      runtime.AttachAnomalyDetector(&detector);
-      runtime.AttachFlightRecorder(&flight);
-      std::optional<FaultInjector> injector;
-      if (plan != nullptr) {
-        injector.emplace(SeededPlan(*plan, seed));
-        runtime.AttachFaultInjector(&*injector);
-      }
-      TrialAbortScope abort_scope([&runtime] { runtime.RequestAbort(); },
-                                  [&flight, &detector] {
-                                    const Postmortem pm =
-                                        BuildPostmortem(flight, &detector);
-                                    TrialObservation obs;
-                                    obs.cause = pm.cause;
-                                    obs.text = pm.empty() ? std::string() : pm.ToText();
-                                    return obs;
-                                  });
+      ChaosStack stack(seed, plan);
       VirtualDisk disk(params.tracks, 0);
-      std::unique_ptr<DiskSchedulerIface> scheduler = make(runtime);
+      std::unique_ptr<DiskSchedulerIface> scheduler = make(stack.runtime);
       DiskWorkloadParams seeded = params;
       seeded.seed = seed;
-      ThreadList threads = SpawnDiskWorkload(runtime, *scheduler, disk, trace, seeded);
-      const DetRuntime::RunResult result = runtime.Run();
+      ThreadList threads =
+          SpawnDiskWorkload(stack.runtime, *scheduler, disk, stack.trace, seeded);
+      const DetRuntime::RunResult result = stack.runtime.Run();
       std::string verdict;
       if (result.completed) {
         verdict = disk.violations() != 0 ? "virtual disk observed concurrent access"
-                                         : CheckScanDiskSchedule(trace.Events(), 0);
+                                         : CheckScanDiskSchedule(stack.trace.Events(), 0);
       }
-      return FinishTrial(result, detector, injector, verdict, flight, trace);
+      return stack.Finish(result, verdict);
     };
     cases.push_back(MakeCase(mechanism, "disk-scan", display, std::move(replay)));
   }
@@ -298,117 +279,39 @@ ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& s
                                     std::shared_ptr<SupervisedRowState> state) {
   return [inner = std::move(inner), sup, state = std::move(state)](
              std::uint64_t seed, const FaultPlan* plan) -> ChaosTrialOutcome {
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (state->quarantined) {
-        ChaosTrialOutcome skipped;
-        skipped.skipped = true;
-        return skipped;
-      }
-    }
-    const int max_attempts = sup.max_attempts < 1 ? 1 : sup.max_attempts;
     ChaosTrialOutcome out;
-    std::string failure;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) {
-        {
-          std::lock_guard<std::mutex> lock(state->mu);
-          ++state->stats.retried;
-        }
-        std::this_thread::sleep_for(sup.retry_backoff * (1 << (attempt - 2)));
-      }
+    const std::optional<SupervisedTrialResult> last = SuperviseSeed(*state, sup, [&] {
       out = ChaosTrialOutcome();
-      failure.clear();
-      bool crashed = false;
-      std::string crash_what;
-      TrialAbortSlot slot;
-      const TrialReapResult reap = RunWithTrialDeadline(slot, sup.trial_deadline, [&] {
-        try {
-          out = inner(seed, plan);
-        } catch (const std::exception& error) {
-          crashed = true;
-          crash_what = error.what();
-        } catch (...) {
-          crashed = true;
-          crash_what = "unknown exception";
-        }
-      });
-      if (crashed) {
+      TrialObservation harvest;
+      SupervisedTrialResult attempt =
+          RunInProcessAttempt(sup, [&] { out = inner(seed, plan); }, &harvest);
+      if (attempt.crashed) {
         // Synthesize what the unsupervised sweep's catch block would have folded, so
         // the row's denominators stay in step even on the retry-exhausted path.
         out = ChaosTrialOutcome();
         out.hung = true;
-        out.report = "trial aborted: " + crash_what;
-        failure = "crashed: " + crash_what;
-        std::lock_guard<std::mutex> lock(state->mu);
-        ++state->stats.crashed;
-      } else if (reap.reaped) {
+        out.report = "trial aborted: " + attempt.crash.what;
+      } else if (attempt.reaped && out.postmortem.empty() && !harvest.text.empty()) {
         // The reaped trial still returned through DetRuntime's abort path, so `out`
-        // carries its injector counts, step count, and diagnosis. Supplement the
-        // postmortem with the reaper's pre-abort harvest when the trial had none.
-        if (out.postmortem.empty() && !reap.observation.text.empty()) {
-          out.postmortem_cause = reap.observation.cause;
-          out.postmortem = reap.observation.text;
-        }
-        failure = "reaped: trial exceeded its wall-clock deadline";
-        std::lock_guard<std::mutex> lock(state->mu);
-        ++state->stats.reaped;
-      } else {
-        return out;  // Healthy (or legitimately failing) attempt: a result, not a
-                     // malfunction — never retried.
+        // carries its injector counts, step count, and diagnosis; the reaper's
+        // pre-abort harvest only fills in a missing postmortem.
+        out.postmortem_cause = harvest.cause;
+        out.postmortem = harvest.text;
       }
-    }
-    // Catastrophic after every attempt: fold the last attempt's outcome anyway (a
-    // reaped genuine hang still counts toward recall) and move the row toward
-    // quarantine.
-    std::lock_guard<std::mutex> lock(state->mu);
-    ++state->catastrophic_seeds;
-    if (!out.postmortem.empty()) {
-      state->last_postmortem_cause = out.postmortem_cause;
-      state->last_postmortem = out.postmortem;
-    }
-    if (!state->quarantined && state->catastrophic_seeds >= sup.quarantine_after) {
-      state->quarantined = true;
-      ++state->stats.quarantined;
-      state->quarantine_reason = std::to_string(state->catastrophic_seeds) +
-                                 " catastrophic seed(s) (last: " + failure + ")";
+      attempt.report.postmortem_cause = out.postmortem_cause;
+      attempt.report.postmortem = out.postmortem;
+      return attempt;
+    });
+    if (!last) {
+      ChaosTrialOutcome skipped;  // Quarantined row: nothing runs, fault-off included.
+      skipped.skipped = true;
+      return skipped;
     }
     return out;
   };
 }
 
 }  // namespace chaos_internal
-
-namespace {
-
-// Minimal JSON string escaping for the calibration quarantine file (mirrors the
-// supervisor's; the fault layer sits below syneval_core, so it cannot reuse the
-// scorecard helpers).
-std::string QuarantineJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<ChaosCase> BuildChaosSuite(int workload_scale) {
   ChaosSuiteBuilder b;
@@ -493,56 +396,30 @@ int ChaosCalibrationTable::QuarantinedRows() const {
 }
 
 std::string ChaosCalibrationTable::QuarantineJson() const {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema_version\": 1,\n";
-  out << "  \"quarantined_cells\": " << QuarantinedRows() << ",\n";
-  out << "  \"reaped\": " << supervisor.reaped << ",\n";
-  out << "  \"crashed\": " << supervisor.crashed << ",\n";
-  out << "  \"retried\": " << supervisor.retried << ",\n";
-  out << "  \"cells\": [";
-  bool first = true;
+  std::vector<std::string> cells;
   for (const ChaosCalibrationRow& row : rows) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"id\": \""
-        << QuarantineJsonEscape(row.problem + "/" + row.display + "/" + row.fault)
+    std::ostringstream out;
+    out << "{\"id\": \"" << JsonEscape(row.problem + "/" + row.display + "/" + row.fault)
         << "\", \"quarantined\": " << (row.quarantined ? "true" : "false")
         << ", \"completed_seeds\": " << row.outcome.runs
         << ", \"skipped_seeds\": " << row.outcome.skipped
         << ", \"harmful\": " << row.outcome.harmful
         << ", \"detected_harmful\": " << row.outcome.detected_harmful;
     if (row.quarantined) {
-      out << ", \"reason\": \"" << QuarantineJsonEscape(row.quarantine_reason) << "\"";
+      out << ", \"reason\": \"" << JsonEscape(row.quarantine_reason) << "\"";
     }
     if (!row.last_postmortem_cause.empty() || !row.last_postmortem.empty()) {
-      out << ", \"postmortem_cause\": \"" << QuarantineJsonEscape(row.last_postmortem_cause)
-          << "\", \"postmortem\": \"" << QuarantineJsonEscape(row.last_postmortem) << "\"";
+      out << ", \"postmortem_cause\": \"" << JsonEscape(row.last_postmortem_cause)
+          << "\", \"postmortem\": \"" << JsonEscape(row.last_postmortem) << "\"";
     }
     out << "}";
+    cells.push_back(out.str());
   }
-  out << "\n  ]\n}\n";
-  return out.str();
+  return QuarantineJsonDocument(QuarantinedRows(), supervisor, cells);
 }
 
 bool ChaosCalibrationTable::WriteQuarantineFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << QuarantineJson();
-    out.flush();
-    if (!out) {
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(path, QuarantineJson());
 }
 
 ChaosCalibrationTable RunChaosCalibration(int seeds_per_case, std::uint64_t base_seed,

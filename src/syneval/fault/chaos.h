@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -138,8 +137,7 @@ struct ChaosCalibrationTable {
   // harvested postmortems for the quarantined ones. Same spirit as
   // SupervisedSweepReport::QuarantineJson, keyed "problem/display/fault".
   std::string QuarantineJson() const;
-  // Writes QuarantineJson() atomically (write "<path>.tmp", rename). False on I/O
-  // failure.
+  // Writes QuarantineJson() atomically (WriteFileAtomically). False on I/O failure.
   bool WriteQuarantineFile(const std::string& path) const;
 };
 
@@ -173,23 +171,14 @@ std::optional<ChaosReplayResult> ReplayChaosTrial(const std::string& problem,
 // does not contain.
 namespace chaos_internal {
 
-// Shared per-row supervision state. Workers of the row's sweep pool update it
-// concurrently; a single mutex guards everything (catastrophic seeds are the rare
-// path, so contention is negligible).
-struct SupervisedRowState {
-  std::mutex mu;
-  bool quarantined = false;
-  int catastrophic_seeds = 0;
-  std::string quarantine_reason;
-  std::string last_postmortem_cause;
-  std::string last_postmortem;
-  SupervisorStats stats;
-};
+// Per-row supervision state (runtime/supervisor.h): the row's sweep workers share it.
+using SupervisedRowState = ::syneval::SupervisedRowState;
 
-// Wraps one row's trial in the supervision policy: quarantine short-circuit, per-
-// attempt deadline/reaper through the TrialAbortSlot seam, catastrophic-only retry
-// with exponential backoff. A healthy trial takes exactly one pass through the inner
-// callback and returns its outcome untouched — bit-identity for healthy cells is
+// Wraps one row's trial in the supervision policy (SuperviseSeed): quarantine short-
+// circuit, per-attempt deadline/reaper through the TrialAbortSlot seam, catastrophic-
+// only retry with exponential backoff. A reaped hang keeps the outcome of its abort
+// path; a crash folds as hung. A healthy trial takes exactly one pass through the
+// inner callback and returns its outcome untouched — bit-identity for healthy cells is
 // structural, not a property of the policy parameters.
 ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& options,
                                     std::shared_ptr<SupervisedRowState> state);

@@ -173,6 +173,24 @@ bool GetPostmortems(const RecordReader& r, std::vector<SeedPostmortem>* postmort
 
 }  // namespace
 
+bool WriteFileAtomically(const std::string& path, const std::string& contents) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    out << contents;
+    out.flush();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
 std::string CheckpointEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -482,23 +500,11 @@ bool CheckpointStore::Flush() {
 }
 
 bool CheckpointStore::CompactLocked() {
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << "syneval-checkpoint v1\n";
-    for (const auto& [key, payload] : entries_) {
-      out << CheckpointEscape(key) << '\t' << CheckpointEscape(payload) << '\n';
-    }
-    out.flush();
-    if (!out) {
-      return false;
-    }
+  std::string snapshot = "syneval-checkpoint v1\n";
+  for (const auto& [key, payload] : entries_) {
+    snapshot += CheckpointEscape(key) + '\t' + CheckpointEscape(payload) + '\n';
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  if (!WriteFileAtomically(path_, snapshot)) {
     return false;
   }
   // Only after the snapshot rename landed is the journal redundant. A crash between

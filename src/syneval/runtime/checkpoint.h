@@ -52,6 +52,11 @@
 
 namespace syneval {
 
+// Writes `contents` to "<path>.tmp", then renames it over `path`: a reader sees the old
+// file or the new one, never a torn one. False (and no temp file left) on I/O failure.
+// The one writer behind checkpoint snapshots and both quarantine.json files.
+bool WriteFileAtomically(const std::string& path, const std::string& contents);
+
 // Escapes/unescapes a string so it contains none of the record structure characters
 // ('\t', '\n', ';', '=', ',', '\\'). Unescape(Escape(s)) == s for every s.
 std::string CheckpointEscape(std::string_view s);

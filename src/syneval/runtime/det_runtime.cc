@@ -430,26 +430,31 @@ DetRuntime::DetRuntime(std::unique_ptr<Schedule> schedule, Options options)
     : schedule_(std::move(schedule)), options_(options) {}
 
 DetRuntime::~DetRuntime() {
-  // If Run() was never called (or aborted early), tear down any parked threads.
+  // Threads still parked (Run() never called) are torn down here. When every managed
+  // thread already finished, the runtime touches no attachment: a detector or recorder
+  // may legitimately die before the runtime once Run() has returned (runtime.h).
   std::unique_lock<std::mutex> lock(mu_);
-  if (AnomalyDetector* det = anomaly_detector()) {
-    det->SetAborting(true);
-  }
-  abort_ = true;
-  for (auto& tcb : threads_) {
-    if (tcb->state != kFinished) {
-      tcb->token = true;
-    }
-  }
-  cv_.notify_all();
-  cv_.wait(lock, [&] {
+  const auto all_finished = [&] {
     for (auto& tcb : threads_) {
       if (tcb->state != kFinished) {
         return false;
       }
     }
     return true;
-  });
+  };
+  if (!all_finished()) {
+    if (AnomalyDetector* det = anomaly_detector()) {
+      det->SetAborting(true);
+    }
+    abort_ = true;
+    for (auto& tcb : threads_) {
+      if (tcb->state != kFinished) {
+        tcb->token = true;
+      }
+    }
+    cv_.notify_all();
+    cv_.wait(lock, all_finished);
+  }
   lock.unlock();
   for (auto& tcb : threads_) {
     if (tcb->os_thread.joinable()) {

@@ -220,28 +220,17 @@ void MergeChaosOutcome(ChaosSweepOutcome& into, ChaosSweepOutcome&& chunk) {
 
 }  // namespace sweep_internal
 
+// The serial sweeps are the pool's jobs == 1 path (the default ParallelOptions).
 SweepOutcome SweepSchedules(int num_seeds,
                             const std::function<std::string(std::uint64_t)>& trial,
                             std::uint64_t base_seed) {
-  return SweepSchedules(
-      num_seeds,
-      [&trial](std::uint64_t seed) {
-        TrialReport report;
-        report.message = trial(seed);
-        return report;
-      },
-      base_seed);
+  return ParallelSweepSchedules(num_seeds, trial, base_seed).outcome;
 }
 
 SweepOutcome SweepSchedules(int num_seeds,
                             const std::function<TrialReport(std::uint64_t)>& trial,
                             std::uint64_t base_seed) {
-  SweepOutcome outcome;
-  for (int i = 0; i < num_seeds; ++i) {
-    sweep_internal::AccumulateTrial(trial, base_seed + static_cast<std::uint64_t>(i),
-                                    outcome);
-  }
-  return outcome;
+  return ParallelSweepSchedules(num_seeds, trial, base_seed).outcome;
 }
 
 SweepOutcome SweepSchedules(int num_seeds,
@@ -285,13 +274,7 @@ ChaosSweepOutcome SweepChaos(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
     const FaultPlan& plan, std::uint64_t base_seed) {
-  ChaosSweepOutcome outcome;
-  for (int i = 0; i < num_seeds; ++i) {
-    sweep_internal::AccumulateChaosTrial(trial, plan,
-                                         base_seed + static_cast<std::uint64_t>(i),
-                                         outcome);
-  }
-  return outcome;
+  return ParallelSweepChaos(num_seeds, trial, plan, base_seed).outcome;
 }
 
 ChaosSweepOutcome SweepChaos(

@@ -226,12 +226,13 @@ ChaosSweepOutcome SweepChaos(
     const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& parallel);
 
 // ---------------------------------------------------------------------------------------
-// Shared per-seed accumulation and chunk-merge steps. The serial sweeps above fold every
-// seed through AccumulateTrial/AccumulateChaosTrial; the parallel engine folds each
-// contiguous chunk through the same functions and then reduces the chunk outcomes in
-// chunk order with MergeOutcome/MergeChaosOutcome. Keeping both paths on one
-// accumulation routine is what makes "bit-identical to the serial sweep" a structural
-// property rather than a hope.
+// Shared per-seed accumulation and chunk-merge steps. Every sweep above runs on the
+// parallel engine (the serial overloads are its jobs == 1 path, one seed after another
+// on the calling thread). It folds every seed through AccumulateTrial/
+// AccumulateChaosTrial — per contiguous chunk when it shards — and reduces the chunk
+// outcomes in chunk order with MergeOutcome/MergeChaosOutcome. Keeping every path on
+// one accumulation routine is what makes "bit-identical to the serial sweep" a
+// structural property rather than a hope.
 namespace sweep_internal {
 
 // Runs trial(seed) — folding an escaping exception into a "trial aborted" failure so

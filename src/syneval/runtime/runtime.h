@@ -114,26 +114,33 @@ class Runtime {
   // usual "caller owns the resource" preconditions no longer hold.
   virtual bool Aborting() const { return false; }
 
+  // Lifetime contract of every Attach* below: the runtime keeps a raw pointer, so an
+  // attachment must stay alive while the runtime can still call into it — through its
+  // primitives, its threads, Run(), or the OsRuntime watchdog. Declaring attachments
+  // before the runtime makes them outlive it. A DetRuntime whose managed threads have
+  // all finished (Run() returned, after a deadlock teardown too) touches no attachment
+  // again, its destructor included; one destroyed with threads still parked calls the
+  // detector's SetAborting while it tears them down. ~OsRuntime stops the watchdog,
+  // which polls the detector until then.
+
   // Attaches an anomaly detector (see syneval/anomaly/detector.h). Must be called
   // before any primitives, threads, or mechanisms are created from this runtime so
-  // registrations are complete; the detector must outlive the runtime's threads.
-  // Both runtimes and all mechanism frameworks consult this and self-instrument.
+  // registrations are complete. Both runtimes and all mechanism frameworks consult this
+  // and self-instrument.
   void AttachAnomalyDetector(AnomalyDetector* detector) { anomaly_detector_ = detector; }
   AnomalyDetector* anomaly_detector() const { return anomaly_detector_; }
 
   // Attaches a fault injector (see syneval/fault/injector.h); both runtimes then
   // consult it at every lock/wait/notify site and act on what it decides. Attach
-  // before primitives are created and threads start; the injector must outlive the
-  // runtime's threads. Defined in runtime.cc (binds the injector to this runtime's
-  // telemetry attachments).
+  // before primitives are created and threads start. Defined in runtime.cc (binds the
+  // injector to this runtime's telemetry attachments).
   void AttachFaultInjector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return fault_injector_; }
 
 #if SYNEVAL_TELEMETRY_ENABLED
   // Attaches a metrics registry (see syneval/telemetry/metrics.h). Like the anomaly
   // detector, it must be attached before mechanisms are constructed from this runtime
-  // (mechanisms resolve their MechanismStats bundle once, at construction) and must
-  // outlive the runtime's threads.
+  // (mechanisms resolve their MechanismStats bundle once, at construction).
   void AttachMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
   MetricsRegistry* metrics() const { return metrics_; }
 

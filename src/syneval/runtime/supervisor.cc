@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "syneval/runtime/deadline.h"
 #include "syneval/runtime/os_runtime.h"
 #include "syneval/telemetry/flight_recorder.h"
+#include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/postmortem.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -38,31 +38,6 @@ namespace syneval {
 namespace {
 
 std::atomic<int> g_active_trials{0};
-
-// Minimal JSON string escaping for quarantine.json. The runtime layer sits below
-// syneval_core, so it cannot reuse the scorecard helpers.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 std::string DeadlineMessage(const SupervisorOptions& options) {
   return "reaped: trial exceeded " + std::to_string(options.trial_deadline.count()) +
@@ -92,69 +67,16 @@ SupervisorStats& SupervisorStats::operator+=(const SupervisorStats& other) {
   return *this;
 }
 
-// ---- Canned abortable OsRuntime trial ----------------------------------------------
+// ---- The abort/observe seam --------------------------------------------------------
 
-SupervisableTrial MakeSupervisableOsTrial(std::function<std::string(OsRuntime&)> body) {
-  struct Context {
-    Context() : runtime(MakeOptions()) {
-      runtime.AttachAnomalyDetector(&detector);
-      runtime.AttachFlightRecorder(&flight);
-    }
-    static OsRuntime::Options MakeOptions() {
-      OsRuntime::Options options;
-      options.abortable = true;
-      return options;
-    }
-    // Observe()-time Poll threshold: the only Poll caller here is the reaper, one
-    // sample at the deadline, so a low threshold cannot produce steady-state false
-    // positives — it just lets the postmortem name waits the deadline already proved
-    // suspicious.
-    static AnomalyDetector::Options DetectorOptions() {
-      AnomalyDetector::Options options;
-      options.stuck_wait_nanos = 10'000'000;  // 10 ms
-      return options;
-    }
-    OsRuntime runtime;
-    AnomalyDetector detector{DetectorOptions()};
-    FlightRecorder flight{FlightRecorder::Options::ForTrial()};
-  };
-  auto ctx = std::make_shared<Context>();
-  SupervisableTrial trial;
-  trial.run = [ctx, body = std::move(body)]() {
-    TrialReport report;
-    report.message = body(ctx->runtime);
-    report.anomalies = ctx->detector.counts();
-    report.anomaly_report = ctx->detector.Report();
-    if (!report.message.empty() || !report.anomalies.Clean()) {
-      const Postmortem pm = BuildPostmortem(ctx->flight, &ctx->detector);
-      if (!pm.empty()) {
-        report.postmortem_cause = pm.cause;
-        report.postmortem = pm.ToText();
-      }
-    }
-    report.flight_evicted = ctx->flight.evicted();
-    return report;
-  };
-  trial.abort = [ctx]() {
-    // Detector first: the unwind's hook traffic (threads releasing resources they no
-    // longer own) must be ignored, exactly as in DetRuntime's teardown.
-    ctx->detector.SetAborting(true);
-    ctx->runtime.RequestAbort();
-  };
-  trial.observe = [ctx]() {
-    // One Poll classifies the currently-parked threads (the trial is presumed hung
-    // when this runs), then the flight recorder narrates them.
-    ctx->detector.Poll(static_cast<std::int64_t>(ctx->runtime.NowNanos()));
-    const Postmortem pm = BuildPostmortem(ctx->flight, &ctx->detector);
-    TrialObservation obs;
-    obs.cause = pm.cause;
-    obs.text = pm.empty() ? std::string() : pm.ToText();
-    return obs;
-  };
-  return trial;
+TrialObservation ObservePostmortem(const FlightRecorder& flight,
+                                   const AnomalyDetector& detector) {
+  const Postmortem pm = BuildPostmortem(flight, &detector);
+  TrialObservation obs;
+  obs.cause = pm.cause;
+  obs.text = pm.empty() ? std::string() : pm.ToText();
+  return obs;
 }
-
-// ---- Cooperative abort seam for wrapped trial functions -----------------------------
 
 namespace {
 
@@ -220,21 +142,15 @@ TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
                                      std::chrono::milliseconds deadline,
                                      const std::function<void()>& fn) {
   TrialReapResult result;
-  TrialAbortSlot* const previous = g_trial_abort_slot;
-  g_trial_abort_slot = &slot;
-
-  struct ReaperState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  ReaperState state;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
   std::thread reaper;
   if (deadline.count() > 0) {
-    reaper = std::thread([&state, &slot, &result, deadline] {
+    reaper = std::thread([&] {
       const Deadline until = Deadline::After(deadline);
-      std::unique_lock<std::mutex> lock(state.mu);
-      if (state.cv.wait_until(lock, until.time_point(), [&] { return state.done; })) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (cv.wait_until(lock, until.time_point(), [&] { return done; })) {
         return;  // The trial finished inside its budget; nothing to reap.
       }
       lock.unlock();
@@ -246,112 +162,103 @@ TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
     });
   }
 
+  TrialAbortSlot* const previous = g_trial_abort_slot;
+  g_trial_abort_slot = &slot;
+  std::exception_ptr error;
   try {
     fn();
   } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      state.done = true;
-    }
-    state.cv.notify_all();
-    if (reaper.joinable()) {
-      reaper.join();
-    }
-    g_trial_abort_slot = previous;
-    throw;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    state.done = true;
-  }
-  state.cv.notify_all();
-  if (reaper.joinable()) {
-    reaper.join();
+    error = std::current_exception();
   }
   g_trial_abort_slot = previous;
-  return result;
-}
-
-// ---- In-process supervised attempt --------------------------------------------------
-
-namespace {
-
-SupervisedTrialResult RunInProcessAttempt(const SupervisableTrial& trial,
-                                          const SupervisorOptions& options) {
-  SupervisedTrialResult result;
-  ActiveTrialScope active;
-
-  struct ReaperState {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool reaped = false;
-    TrialObservation observation;
-  };
-  auto state = std::make_shared<ReaperState>();
-
-  std::thread reaper;
-  if (options.trial_deadline.count() > 0 && trial.abort) {
-    reaper = std::thread([state, abort = trial.abort, observe = trial.observe,
-                          deadline = options.trial_deadline] {
-      const Deadline until = Deadline::After(deadline);
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (state->cv.wait_until(lock, until.time_point(),
-                               [&] { return state->done; })) {
-        return;  // Trial finished inside its budget; nothing to reap.
-      }
-      state->reaped = true;
-      lock.unlock();
-      // Capture the hung state BEFORE unwinding it — after abort the interesting
-      // waits are gone.
-      if (observe) {
-        TrialObservation observation = observe();
-        lock.lock();
-        state->observation = std::move(observation);
-        lock.unlock();
-      }
-      abort();
-    });
-  }
-
-  try {
-    result.report = trial.run();
-  } catch (const TrialAborted&) {
-    // The reaper fired while the driving thread itself was parked in a primitive.
-  } catch (const std::exception& e) {
-    result.crashed = true;
-    result.crash.crashed = true;
-    result.crash.what = e.what();
-  } catch (...) {
-    result.crashed = true;
-    result.crash.crashed = true;
-    result.crash.what = "unknown exception";
-  }
-
   {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->done = true;
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
   }
-  state->cv.notify_all();
+  cv.notify_all();
   if (reaper.joinable()) {
     reaper.join();
   }
-
-  if (state->reaped) {
-    result.reaped = true;
-    // Whatever the unwound trial's oracle said about its half-executed workload is
-    // not a verdict; the supervised outcome is "this seed's trial hung".
-    result.report.message = DeadlineMessage(options);
-    if (result.report.postmortem.empty() && !state->observation.text.empty()) {
-      result.report.postmortem_cause = state->observation.cause;
-      result.report.postmortem = state->observation.text;
-    }
-  } else if (result.crashed) {
-    result.report.message = "crashed: " + result.crash.what;
+  if (error) {
+    std::rethrow_exception(error);
   }
   return result;
 }
+
+// ---- Canned abortable OsRuntime trial ----------------------------------------------
+
+SeededTrial MakeSupervisableOsTrial(
+    std::function<std::string(OsRuntime&, std::uint64_t seed)> body) {
+  return [body = std::move(body)](std::uint64_t seed) {
+    // Observe()-time Poll threshold: the only Poll caller here is the reaper, one
+    // sample at the deadline, so a low threshold cannot produce steady-state false
+    // positives — it just lets the postmortem name waits the deadline already proved
+    // suspicious.
+    AnomalyDetector::Options detector_options;
+    detector_options.stuck_wait_nanos = 10'000'000;  // 10 ms
+    OsRuntime::Options runtime_options;
+    runtime_options.abortable = true;
+    // Attachments first, so they outlive the runtime (runtime.h).
+    AnomalyDetector detector{detector_options};
+    FlightRecorder flight{FlightRecorder::Options::ForTrial()};
+    OsRuntime runtime(runtime_options);
+    runtime.AttachAnomalyDetector(&detector);
+    runtime.AttachFlightRecorder(&flight);
+    TrialAbortScope abort_scope(
+        [&] {
+          // Detector first: the unwind's hook traffic (threads releasing resources
+          // they no longer own) must be ignored, exactly as in DetRuntime's teardown.
+          detector.SetAborting(true);
+          runtime.RequestAbort();
+        },
+        [&] {
+          // One Poll classifies the currently-parked threads (the trial is presumed
+          // hung when this runs), then the flight recorder narrates them.
+          detector.Poll(static_cast<std::int64_t>(runtime.NowNanos()));
+          return ObservePostmortem(flight, detector);
+        });
+    TrialReport report;
+    report.message = body(runtime, seed);
+    report.anomalies = detector.counts();
+    report.anomaly_report = detector.Report();
+    if (!report.message.empty() || !report.anomalies.Clean()) {
+      const TrialObservation pm = ObservePostmortem(flight, detector);
+      report.postmortem_cause = pm.cause;
+      report.postmortem = pm.text;
+    }
+    report.flight_evicted = flight.evicted();
+    return report;
+  };
+}
+
+// ---- One attempt --------------------------------------------------------------------
+
+SupervisedTrialResult RunInProcessAttempt(const SupervisorOptions& options,
+                                          const std::function<void()>& fn,
+                                          TrialObservation* harvest) {
+  SupervisedTrialResult result;
+  ActiveTrialScope active;
+  TrialAbortSlot slot;
+  TrialReapResult reap = RunWithTrialDeadline(slot, options.trial_deadline, [&] {
+    try {
+      fn();
+    } catch (const TrialAborted&) {
+      // The reaper fired while the driving thread itself was parked in a primitive.
+    } catch (const std::exception& e) {
+      result.crashed = true;
+      result.crash.what = e.what();
+    } catch (...) {
+      result.crashed = true;
+      result.crash.what = "unknown exception";
+    }
+  });
+  result.crash.crashed = result.crashed;
+  result.reaped = reap.reaped;
+  *harvest = std::move(reap.observation);
+  return result;
+}
+
+namespace {
 
 // ---- fork() process sandbox ---------------------------------------------------------
 
@@ -464,8 +371,7 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
 
 // Child-side body; never returns. Everything the trial does — constructor included —
 // happens after the fork, so a crash anywhere is contained.
-[[noreturn]] void RunSandboxChild(ShmBlock* block,
-                                  const SupervisableTrialFactory& factory,
+[[noreturn]] void RunSandboxChild(ShmBlock* block, const SeededTrial& trial,
                                   std::uint64_t seed,
                                   const SupervisorOptions& options) {
   g_sandbox_block = block;
@@ -488,41 +394,38 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
   block->heartbeat.fetch_add(1, std::memory_order_relaxed);
   TrialReport report;
   {
-    const SupervisableTrial trial = factory(seed);
-
+    TrialAbortSlot slot;
     // Heartbeat + live-postmortem publisher: keeps the ring fresh so the parent can
     // harvest a recent snapshot after SIGKILLing a hung child.
     std::atomic<bool> stop{false};
-    std::thread publisher;
-    if (trial.observe) {
-      publisher = std::thread([&] {
-        const auto period = std::max<std::chrono::milliseconds>(
-            options.sandbox_poll, std::chrono::milliseconds(1));
-        while (!stop.load(std::memory_order_relaxed)) {
-          block->heartbeat.fetch_add(1, std::memory_order_relaxed);
-          SandboxPublishPostmortem(block, trial.observe());
-          std::this_thread::sleep_for(period);
-        }
-      });
-    }
+    std::thread publisher([&] {
+      const auto period = std::max<std::chrono::milliseconds>(options.sandbox_poll,
+                                                              std::chrono::milliseconds(1));
+      while (!stop.load(std::memory_order_relaxed)) {
+        block->heartbeat.fetch_add(1, std::memory_order_relaxed);
+        SandboxPublishPostmortem(block, slot.Observe());
+        std::this_thread::sleep_for(period);
+      }
+    });
 
+    std::string crash;
     try {
-      report = trial.run();
+      // No reaper in here: the parent's SIGKILL is the deadline.
+      RunWithTrialDeadline(slot, std::chrono::milliseconds(0),
+                           [&] { report = trial(seed); });
     } catch (const std::exception& e) {
-      ShmCopyString(block->what, kShmWhatCap, e.what());
-      block->signal_number = 0;
-      block->state.store(kShmCrashed, std::memory_order_release);
-      _exit(125);
+      crash = e.what();
     } catch (...) {
-      ShmCopyString(block->what, kShmWhatCap, "unknown exception");
+      crash = "unknown exception";
+    }
+    if (!crash.empty()) {
+      ShmCopyString(block->what, kShmWhatCap, crash);
       block->signal_number = 0;
       block->state.store(kShmCrashed, std::memory_order_release);
       _exit(125);
     }
     stop.store(true, std::memory_order_relaxed);
-    if (publisher.joinable()) {
-      publisher.join();
-    }
+    publisher.join();
   }
 
   // Ship the report; shed its biggest fields one by one if it cannot fit.
@@ -547,27 +450,27 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
   _exit(0);
 }
 
-SupervisedTrialResult RunSandboxedAttempt(const SupervisableTrialFactory& factory,
-                                          std::uint64_t seed,
-                                          const SupervisorOptions& options) {
-  SupervisedTrialResult result;
+// Runs one attempt in a fork()ed child. False, running nothing, when no shared memory
+// or no child could be had (the caller then supervises in-process). The harvested
+// postmortem of a killed or crashed child lands in *harvest.
+bool RunSandboxedAttempt(const SeededTrial& trial, std::uint64_t seed,
+                         const SupervisorOptions& options, SupervisedTrialResult* result,
+                         TrialObservation* harvest) {
   ActiveTrialScope active;
-
   void* mapping = mmap(nullptr, sizeof(ShmBlock), PROT_READ | PROT_WRITE,
                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (mapping == MAP_FAILED) {
-    // No shared memory, no sandbox: degrade to in-process supervision.
-    return RunInProcessAttempt(factory(seed), options);
+    return false;
   }
   ShmBlock* block = new (mapping) ShmBlock();
 
   const pid_t child = fork();
   if (child < 0) {
     munmap(mapping, sizeof(ShmBlock));
-    return RunInProcessAttempt(factory(seed), options);
+    return false;
   }
   if (child == 0) {
-    RunSandboxChild(block, factory, seed, options);  // _exits; never returns.
+    RunSandboxChild(block, trial, seed, options);  // _exits; never returns.
   }
 
   const bool untimed = options.trial_deadline.count() <= 0;
@@ -592,87 +495,132 @@ SupervisedTrialResult RunSandboxedAttempt(const SupervisableTrialFactory& factor
     // Deadline: the reap no in-process mechanism can refuse.
     kill(child, SIGKILL);
     waitpid(child, &status, 0);
-    result.reaped = true;
-    result.report.message = DeadlineMessage(options);
-    const TrialObservation observation = SandboxHarvestPostmortem(block);
-    result.report.postmortem_cause = observation.cause;
-    result.report.postmortem = observation.text;
+    result->reaped = true;
+    *harvest = SandboxHarvestPostmortem(block);
   } else {
     const std::uint32_t state = block->state.load(std::memory_order_acquire);
-    if (state == kShmDone &&
-        block->report_size <= kShmReportCap) {
-      if (!DecodeTrialReport(
-              std::string(block->report, block->report_size), &result.report)) {
-        result.crashed = true;
-        result.crash.crashed = true;
-        result.crash.what = "sandbox report unreadable";
-        result.report.message = "crashed: sandbox report unreadable";
+    if (state == kShmDone && block->report_size <= kShmReportCap) {
+      if (!DecodeTrialReport(std::string(block->report, block->report_size),
+                             &result->report)) {
+        result->crashed = true;
+        result->crash.what = "sandbox report unreadable";
       }
     } else {
-      result.crashed = true;
-      result.crash.crashed = true;
+      result->crashed = true;
       if (state == kShmCrashed) {
-        result.crash.signal_number = block->signal_number;
-        result.crash.what = block->what;
+        result->crash.signal_number = block->signal_number;
+        result->crash.what = block->what;
       } else if (WIFSIGNALED(status)) {
-        result.crash.signal_number = WTERMSIG(status);
-        result.crash.what = std::string("signal ") + std::to_string(WTERMSIG(status)) +
-                            " (" + SignalName(WTERMSIG(status)) + ")";
+        result->crash.signal_number = WTERMSIG(status);
+        result->crash.what = std::string("signal ") + std::to_string(WTERMSIG(status)) +
+                             " (" + SignalName(WTERMSIG(status)) + ")";
       } else {
-        result.crash.what =
-            "exited with status " + std::to_string(WEXITSTATUS(status));
+        result->crash.what = "exited with status " + std::to_string(WEXITSTATUS(status));
       }
-      const TrialObservation observation = SandboxHarvestPostmortem(block);
-      result.crash.postmortem_cause = observation.cause;
-      result.crash.postmortem = observation.text;
-      result.report.message = "crashed: " + result.crash.what;
-      result.report.postmortem_cause = observation.cause;
-      result.report.postmortem = observation.text;
+      *harvest = SandboxHarvestPostmortem(block);
+      result->crash.postmortem_cause = harvest->cause;
+      result->crash.postmortem = harvest->text;
     }
   }
+  result->crash.crashed = result->crashed;
   munmap(mapping, sizeof(ShmBlock));
-  return result;
+  return true;
 }
 
 #endif  // SYNEVAL_SANDBOX_AVAILABLE
 
-}  // namespace
-
-SupervisedTrialResult RunSupervisedTrial(const SupervisableTrial& trial,
-                                         const SupervisorOptions& options) {
-  return RunInProcessAttempt(trial, options);
+// One attempt of a plain seeded trial — sandboxed when asked and possible, else
+// in-process — folded into its report.
+SupervisedTrialResult RunSeededAttempt(const SeededTrial& trial, std::uint64_t seed,
+                                       const SupervisorOptions& options) {
+  SupervisedTrialResult result;
+  TrialObservation harvest;
+  bool sandboxed = false;
+#if SYNEVAL_SANDBOX_AVAILABLE
+  sandboxed = options.sandbox && RunSandboxedAttempt(trial, seed, options, &result, &harvest);
+#endif
+  if (!sandboxed) {
+    TrialReport report;
+    result = RunInProcessAttempt(options, [&] { report = trial(seed); }, &harvest);
+    result.report = std::move(report);
+  }
+  if (result.reaped) {
+    // Whatever the unwound trial's oracle said about its half-executed workload is
+    // not a verdict; the supervised outcome is "this seed's trial hung".
+    result.report.message = DeadlineMessage(options);
+  } else if (result.crashed) {
+    result.report.message = "crashed: " + result.crash.what;
+  }
+  if (result.Catastrophic() && result.report.postmortem.empty()) {
+    result.report.postmortem_cause = harvest.cause;
+    result.report.postmortem = harvest.text;
+  }
+  return result;
 }
 
-SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
-                                        std::uint64_t seed,
-                                        const SupervisorOptions& options,
-                                        SupervisorStats* stats) {
-  SupervisorStats local;
+}  // namespace
+
+std::optional<SupervisedTrialResult> SuperviseSeed(
+    SupervisedRowState& row, const SupervisorOptions& options,
+    const std::function<SupervisedTrialResult()>& attempt) {
+  {
+    std::lock_guard<std::mutex> lock(row.mu);
+    if (row.quarantined) {
+      return std::nullopt;
+    }
+  }
+  SupervisorStats seed_stats;
   SupervisedTrialResult result;
   const int max_attempts = std::max(1, options.max_attempts);
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      ++local.retried;
-      std::this_thread::sleep_for(options.retry_backoff * (1 << (attempt - 2)));
+  for (int n = 1; n <= max_attempts; ++n) {
+    if (n > 1) {
+      ++seed_stats.retried;
+      std::this_thread::sleep_for(options.retry_backoff * (1 << (n - 2)));
     }
-#if SYNEVAL_SANDBOX_AVAILABLE
-    if (options.sandbox) {
-      result = RunSandboxedAttempt(factory, seed, options);
-    } else {
-      result = RunInProcessAttempt(factory(seed), options);
-    }
-#else
-    result = RunInProcessAttempt(factory(seed), options);
-#endif
-    result.attempts = attempt;
-    local.reaped += result.reaped ? 1 : 0;
-    local.crashed += result.crashed ? 1 : 0;
+    result = attempt();
+    result.attempts = n;
+    seed_stats.reaped += result.reaped ? 1 : 0;
+    seed_stats.crashed += result.crashed ? 1 : 0;
     if (!result.Catastrophic()) {
       break;
     }
   }
+
+  std::lock_guard<std::mutex> lock(row.mu);
+  row.stats += seed_stats;
+  if (!result.Catastrophic()) {
+    return result;
+  }
+  // Catastrophic after every attempt: the caller still folds the last attempt (a
+  // reaped genuine hang keeps counting), and the row moves toward quarantine.
+  ++row.catastrophic_seeds;
+  if (result.crashed) {
+    row.last_crash = result.crash;
+  }
+  if (!result.report.postmortem.empty()) {
+    row.last_postmortem_cause = result.report.postmortem_cause;
+    row.last_postmortem = result.report.postmortem;
+  }
+  if (!row.quarantined && row.catastrophic_seeds >= std::max(1, options.quarantine_after)) {
+    row.quarantined = true;
+    ++row.stats.quarantined;
+    row.quarantine_reason =
+        std::to_string(row.catastrophic_seeds) + " catastrophic seed(s) (last: " +
+        (result.crashed ? "crashed: " + result.crash.what : DeadlineMessage(options)) +
+        ")";
+  }
+  return result;
+}
+
+SupervisedTrialResult RunSupervisedSeed(const SeededTrial& trial, std::uint64_t seed,
+                                        const SupervisorOptions& options,
+                                        SupervisorStats* stats) {
+  SupervisedRowState row;
+  SupervisedTrialResult result =
+      *SuperviseSeed(row, options, [&] { return RunSeededAttempt(trial, seed, options); });
   if (stats != nullptr) {
-    *stats += local;
+    row.stats.quarantined = 0;  // Quarantine is a verdict on a row, not on one seed.
+    *stats += row.stats;
   }
   return result;
 }
@@ -683,37 +631,23 @@ SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
   SupervisedSweepReport report;
   report.cells.reserve(cells.size());
   for (const SupervisedCell& cell : cells) {
+    SupervisedRowState row;
     SupervisedCellResult cr;
     cr.id = cell.id;
-    int catastrophic = 0;
     for (int i = 0; i < num_seeds; ++i) {
       const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-      const SupervisedTrialResult trial =
-          RunSupervisedSeed(cell.trial, seed, options, &cr.stats);
+      const std::optional<SupervisedTrialResult> trial = SuperviseSeed(
+          row, options, [&] { return RunSeededAttempt(cell.trial, seed, options); });
+      if (!trial) {
+        break;  // Quarantined: the remaining seeds are skipped.
+      }
       // Same accumulation the plain sweeps run, so a healthy cell's outcome is
       // bit-identical to an unsupervised sweep of it.
       sweep_internal::AccumulateTrial(
-          [&trial](std::uint64_t) { return trial.report; }, seed, cr.outcome);
+          [&trial](std::uint64_t) { return trial->report; }, seed, cr.outcome);
       ++cr.completed_seeds;
-      if (trial.Catastrophic()) {
-        ++catastrophic;
-        cr.last_crash = trial.crash;
-        cr.last_postmortem_cause = trial.report.postmortem_cause;
-        cr.last_postmortem = trial.report.postmortem;
-        if (catastrophic >= std::max(1, options.quarantine_after)) {
-          cr.quarantined = true;
-          ++cr.stats.quarantined;
-          std::ostringstream reason;
-          reason << catastrophic << " catastrophic trial"
-                 << (catastrophic == 1 ? "" : "s") << " (last: "
-                 << (trial.reaped ? DeadlineMessage(options)
-                                  : "crashed: " + trial.crash.what)
-                 << ") after " << cr.completed_seeds << "/" << num_seeds << " seeds";
-          cr.quarantine_reason = reason.str();
-          break;
-        }
-      }
     }
+    static_cast<SupervisionVerdict&>(cr) = row;
     report.totals += cr.stats;
     report.cells.push_back(std::move(cr));
   }
@@ -741,19 +675,10 @@ SweepOutcome SupervisedSweepReport::MergedHealthyOutcome() const {
 }
 
 std::string SupervisedSweepReport::QuarantineJson() const {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"schema_version\": 1,\n";
-  out << "  \"quarantined_cells\": " << QuarantinedCells() << ",\n";
-  out << "  \"reaped\": " << totals.reaped << ",\n";
-  out << "  \"crashed\": " << totals.crashed << ",\n";
-  out << "  \"retried\": " << totals.retried << ",\n";
-  out << "  \"cells\": [";
-  bool first = true;
+  std::vector<std::string> rendered;
   for (const SupervisedCellResult& cell : cells) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"id\": \"" << JsonEscape(cell.id) << "\", \"quarantined\": "
+    std::ostringstream out;
+    out << "{\"id\": \"" << JsonEscape(cell.id) << "\", \"quarantined\": "
         << (cell.quarantined ? "true" : "false")
         << ", \"completed_seeds\": " << cell.completed_seeds
         << ", \"runs\": " << cell.outcome.runs
@@ -773,29 +698,30 @@ std::string SupervisedSweepReport::QuarantineJson() const {
           << "\", \"postmortem\": \"" << JsonEscape(cell.last_postmortem) << "\"";
     }
     out << "}";
+    rendered.push_back(out.str());
   }
-  out << "\n  ]\n}\n";
-  return out.str();
+  return QuarantineJsonDocument(QuarantinedCells(), totals, rendered);
 }
 
 bool SupervisedSweepReport::WriteQuarantineFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << QuarantineJson();
-    out.flush();
-    if (!out) {
-      return false;
-    }
+  return WriteFileAtomically(path, QuarantineJson());
+}
+
+std::string QuarantineJsonDocument(int quarantined_cells, const SupervisorStats& totals,
+                                   const std::vector<std::string>& cells) {
+  std::ostringstream out;
+  out << "{\n";
+  out << "  \"schema_version\": 1,\n";
+  out << "  \"quarantined_cells\": " << quarantined_cells << ",\n";
+  out << "  \"reaped\": " << totals.reaped << ",\n";
+  out << "  \"crashed\": " << totals.crashed << ",\n";
+  out << "  \"retried\": " << totals.retried << ",\n";
+  out << "  \"cells\": [";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    out << (i == 0 ? "\n    " : ",\n    ") << cells[i];
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  out << "\n  ]\n}\n";
+  return out.str();
 }
 
 }  // namespace syneval

@@ -3,27 +3,34 @@
 // Bloom's methodology only pays off at scale — hundreds of seeds × problems ×
 // mechanisms × fault plans — and at that scale a single genuinely-hung OsRuntime trial
 // (the very deadlocks the suite exists to provoke) or one crashed worker must not
-// stall or forfeit the whole sweep. This module hardens the evaluation harness itself:
+// stall or forfeit the whole sweep. This module hardens the evaluation harness itself
+// through one seam, one reaper, one policy and one quarantine format:
 //
-//   * RunSupervisedTrial runs one trial under a wall-clock deadline with a reaper
-//     thread. If the deadline expires, the reaper captures a live postmortem through
-//     the trial's `observe` callback and then force-unwinds the trial through its
-//     `abort` callback — for the canned OsRuntime trial, AnomalyDetector::SetAborting
-//     followed by OsRuntime::RequestAbort, so every blocked thread throws TrialAborted
-//     and unwinds through RAII guards that no-op behind the Runtime::Aborting() seam.
-//   * For cells that cannot be unwound cooperatively, an opt-in fork()-based process
-//     sandbox runs the trial in a child process: the child publishes heartbeats and
+//   * The seam. A supervised trial is a plain seeded trial (TrialReport(seed)). It
+//     registers its abort and observe callbacks from inside its own body through a
+//     TrialAbortScope, into the TrialAbortSlot its thread has installed — OS trials
+//     (MakeSupervisableOsTrial: AnomalyDetector::SetAborting, then
+//     OsRuntime::RequestAbort, so every blocked thread throws TrialAborted and unwinds
+//     through RAII guards that no-op behind the Runtime::Aborting() seam) and chaos
+//     trials (fault/chaos.h: DetRuntime::RequestAbort) alike.
+//   * The reaper. RunWithTrialDeadline runs one attempt with a slot installed; past
+//     the deadline its reaper thread captures a live postmortem through the slot's
+//     observe and then force-unwinds the trial through its abort.
+//   * The sandbox. For cells that cannot be unwound cooperatively, an opt-in
+//     fork()-based process sandbox runs the trial in a child process: the child
+//     installs a slot, runs the trial, and its heartbeat thread publishes the slot's
 //     live postmortems into a shared-memory ring (per-slot seqlock, so the parent can
-//     harvest a consistent snapshot from a wedged child), converts SIGSEGV / SIGABRT /
-//     SIGBUS / SIGFPE / SIGILL / std::terminate / escaping exceptions into a
-//     structured TrialCrash record in shared memory, and the parent SIGKILLs it at the
+//     harvest a consistent snapshot from a wedged child); SIGSEGV / SIGABRT / SIGBUS /
+//     SIGFPE / SIGILL / std::terminate / escaping exceptions become a structured
+//     TrialCrash record in shared memory, and the parent SIGKILLs the child at the
 //     deadline — a reap no in-process mechanism can refuse.
-//   * RunSupervisedSeed retries catastrophic attempts (reaped or crashed) with
-//     exponential backoff; SuperviseSweep additionally quarantines any cell whose
-//     trials keep dying — folding the seeds it did complete, skipping the rest, and
-//     reporting the cell with its last crash and postmortem in quarantine.json — so a
-//     sweep with broken cells still terminates with every healthy cell's outcome
-//     bit-identical to a clean run.
+//   * The policy. SuperviseSeed retries catastrophic attempts (reaped or crashed) with
+//     exponential backoff and quarantines a row whose seeds keep dying — folding the
+//     seeds it did complete, skipping the rest, and keeping its last crash and
+//     postmortem for quarantine.json — so a sweep with broken cells still terminates
+//     with every healthy cell's outcome bit-identical to a clean run. RunSupervisedSeed
+//     and SuperviseSweep apply it to seeded trials; the chaos calibration applies it
+//     to its rows, folding each attempt into its own outcome type.
 //
 // The process-wide ActiveTrials() gauge also feeds the OsRuntime watchdog's
 // load-adaptive poll threshold (os_runtime.h): trials register through
@@ -39,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +54,8 @@
 
 namespace syneval {
 
+class AnomalyDetector;
+class FlightRecorder;
 class OsRuntime;
 
 // ---- Process-wide active-trial gauge ------------------------------------------------
@@ -64,56 +74,34 @@ class ActiveTrialScope {
   ActiveTrialScope& operator=(const ActiveTrialScope&) = delete;
 };
 
-// ---- Supervisable trials ------------------------------------------------------------
+// ---- The abort/observe seam --------------------------------------------------------
 
 // A live observation of a running (possibly hung) trial, published to the supervisor
-// by the `observe` callback: the flight-recorder postmortem as of now.
+// by the trial's observe callback: the flight-recorder postmortem as of now.
 struct TrialObservation {
   std::string cause;  // Postmortem::cause ("" when there is nothing to explain yet).
   std::string text;   // Postmortem::ToText().
 };
 
-// One supervisable trial instance. `run` executes the trial on the calling thread and
-// is required; the other two run on supervisor threads concurrently with `run`:
-//   abort    — force-unwind the trial cooperatively (detector SetAborting + runtime
-//              RequestAbort). Optional; without it an in-process deadline can only be
-//              observed, not enforced (use the sandbox for such cells).
-//   observe  — capture a live postmortem of the current trial state. Optional; used
-//              by the reaper just before aborting and by the sandbox child's
-//              heartbeat thread to keep the shared-memory ring fresh.
-struct SupervisableTrial {
-  std::function<TrialReport()> run;
-  std::function<void()> abort;
-  std::function<TrialObservation()> observe;
-};
+// The observation every trial stack publishes: BuildPostmortem over its recorder and
+// detector, with "" text when there is nothing to explain yet.
+TrialObservation ObservePostmortem(const FlightRecorder& flight,
+                                   const AnomalyDetector& detector);
 
-// Builds the trial for one seed. Called per attempt — in sandbox mode inside the
-// child process, so a crashing constructor is contained too.
-using SupervisableTrialFactory = std::function<SupervisableTrial(std::uint64_t)>;
+// A supervised trial is a plain seeded trial. The supervisor reaches it through a
+// per-thread slot: every attempt runs with a TrialAbortSlot installed on its thread,
+// and the trial registers its abort/observe callbacks into that slot from inside its
+// own body, through a TrialAbortScope, once it has built the runtime they act on.
+// Unsupervised runs install no slot, making the scope a no-op — which is what keeps a
+// supervised healthy cell bit-identical to an unsupervised sweep of it.
 
-// Canned abortable OsRuntime trial: constructs a fresh abortable OsRuntime with an
-// AnomalyDetector and a trial-sized FlightRecorder attached, runs `body` (which
-// returns the oracle verdict: empty = pass), folds detector counts and a postmortem
-// into the TrialReport, and wires `abort`/`observe` to the runtime's seams.
-SupervisableTrial MakeSupervisableOsTrial(std::function<std::string(OsRuntime&)> body);
-
-// ---- Cooperative abort seam for wrapped trial functions -----------------------------
-//
-// Chaos supervision (fault/chaos.h) wraps an existing trial *function* rather than a
-// SupervisableTrial: the trial's abortable runtime is constructed deep inside the
-// callback, out of the wrapper's reach. The seam is a per-thread slot: the wrapper
-// installs a TrialAbortSlot on the calling thread for the duration of the wrapped
-// call, and the trial's internals register their abort/observe callbacks into
-// whatever slot their thread has installed via TrialAbortScope. Unsupervised runs
-// install no slot, making the scope a no-op — which is what keeps a supervised
-// healthy cell bit-identical to an unsupervised sweep of it.
-
-// Reaper-facing handle to the (possibly not yet constructed) trial of one wrapped
-// call. Thread-safe; Abort() on an empty slot is remembered and fired on late
-// registration, so a reap cannot be lost to a construction race.
+// Reaper-facing handle to the (possibly not yet constructed) trial of one attempt.
+// Thread-safe; Abort() on an empty slot is remembered and fired on late registration,
+// so a reap cannot be lost to a construction race.
 class TrialAbortSlot {
  public:
-  // Force-unwind the registered trial (for DetRuntime trials: RequestAbort()).
+  // Force-unwind the registered trial (OsRuntime trials: detector SetAborting +
+  // RequestAbort; DetRuntime trials: RequestAbort()).
   void Abort();
   // Capture a live postmortem of the registered trial ("" fields when nothing is
   // registered or there is nothing to explain yet).
@@ -173,9 +161,9 @@ struct SupervisorOptions {
   int max_attempts = 2;
   // Sleep before retry k is retry_backoff × 2^(k-1).
   std::chrono::milliseconds retry_backoff{10};
-  // SuperviseSweep: a cell is quarantined once this many seeds end catastrophic
-  // (after their retries). Quarantining stops sweeping the cell; seeds already folded
-  // are kept, the rest are skipped.
+  // A row (a SuperviseSweep cell, a chaos calibration row) is quarantined once this
+  // many of its seeds end catastrophic (after their retries). Quarantining stops
+  // sweeping the row; seeds already folded are kept, the rest are skipped.
   int quarantine_after = 2;
   // Run each attempt in a fork()ed child (POSIX only; ignored where unavailable).
   bool sandbox = false;
@@ -190,7 +178,7 @@ struct TrialCrash {
   int signal_number = 0;  // 0 when the crash was an exception / std::terminate.
   std::string what;       // "signal 11 (SIGSEGV)", exception message, exit status.
   std::string postmortem_cause;  // Latest complete postmortem harvested from the
-  std::string postmortem;        // shared-memory ring (sandbox) or observe().
+  std::string postmortem;        // shared-memory ring (sandbox only).
 };
 
 // Counters a supervised sweep aggregates; rendered as the schema-v4 `supervisor`
@@ -199,12 +187,16 @@ struct SupervisorStats {
   int reaped = 0;       // Attempts force-unwound at the deadline.
   int crashed = 0;      // Attempts that died (signal, terminate, escaped exception).
   int retried = 0;      // Retry attempts performed.
-  int quarantined = 0;  // Cells quarantined.
+  int quarantined = 0;  // Rows quarantined.
   SupervisorStats& operator+=(const SupervisorStats& other);
 };
 
+// One attempt as the supervision policy sees it. For plain seeded trials `report` is
+// the attempt's TrialReport (synthesized when catastrophic); other callers fold the
+// attempt into their own outcome type and fill only `report`'s postmortem fields,
+// which the policy keeps as a quarantined row's explanation.
 struct SupervisedTrialResult {
-  TrialReport report;  // The final attempt's report (synthesized when catastrophic).
+  TrialReport report;
   bool reaped = false;
   bool crashed = false;
   int attempts = 1;
@@ -214,16 +206,63 @@ struct SupervisedTrialResult {
   bool Catastrophic() const { return reaped || crashed; }
 };
 
-// Runs one already-constructed trial under the deadline/reaper (no retries — the
-// trial instance is single-use). Sandbox mode is not available here; use
-// RunSupervisedSeed, which can re-construct per attempt.
-SupervisedTrialResult RunSupervisedTrial(const SupervisableTrial& trial,
-                                         const SupervisorOptions& options);
+// A supervised trial: one seed in, one report out (explore.h's trial shape).
+using SeededTrial = std::function<TrialReport(std::uint64_t)>;
 
-// Full per-seed supervision: build-via-factory, deadline, crash capture, retry with
-// backoff. `stats` (nullable) accumulates reaped/crashed/retried.
-SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
-                                        std::uint64_t seed,
+// Canned abortable OsRuntime trial: per call, builds a fresh AnomalyDetector and a
+// trial-sized FlightRecorder, then an abortable OsRuntime with both attached; registers
+// abort (detector SetAborting, then RequestAbort) and observe (one detector Poll, then
+// the postmortem) through a TrialAbortScope; runs `body` (which returns the oracle
+// verdict: empty = pass) and folds detector counts and a postmortem into the report.
+SeededTrial MakeSupervisableOsTrial(
+    std::function<std::string(OsRuntime&, std::uint64_t seed)> body);
+
+// Runs `fn` once on the calling thread as one in-process attempt: a fresh slot is
+// installed and reaped at options.trial_deadline (RunWithTrialDeadline), and an
+// exception escaping `fn` becomes a crash record. A TrialAborted escaping a reaped
+// attempt is its abort path, not a crash. Sets the result's reaped/crashed/crash and
+// leaves `report` to the caller's fold; the reaper's pre-abort harvest lands in
+// *harvest.
+SupervisedTrialResult RunInProcessAttempt(const SupervisorOptions& options,
+                                          const std::function<void()>& fn,
+                                          TrialObservation* harvest);
+
+// The supervision verdict on one row of seeds (a SuperviseSweep cell, a chaos
+// calibration row).
+struct SupervisionVerdict {
+  bool quarantined = false;
+  int catastrophic_seeds = 0;
+  std::string quarantine_reason;      // "" unless quarantined.
+  TrialCrash last_crash;              // Last crashed attempt of a catastrophic seed.
+  std::string last_postmortem_cause;  // Last catastrophic seed's postmortem.
+  std::string last_postmortem;
+  SupervisorStats stats;
+};
+
+// The verdict while the row is swept, shared by its sweep workers; `mu` guards it.
+struct SupervisedRowState : SupervisionVerdict {
+  std::mutex mu;
+};
+
+// The one retry/quarantine policy, for one seed of a row. Returns nullopt without
+// calling `attempt` when the row is already quarantined. Otherwise calls `attempt` —
+// which runs one attempt and folds it into the caller's outcome — until it returns a
+// non-catastrophic result or options.max_attempts attempts ran, sleeping
+// retry_backoff × 2^(k-1) before retry k, and returns the last attempt. Counts
+// reaped/crashed/retried into row.stats; a seed whose every attempt was catastrophic
+// leaves its crash record and postmortem on the row and quarantines the row once
+// options.quarantine_after such seeds accumulated.
+std::optional<SupervisedTrialResult> SuperviseSeed(
+    SupervisedRowState& row, const SupervisorOptions& options,
+    const std::function<SupervisedTrialResult()>& attempt);
+
+// Full per-seed supervision of a plain seeded trial: each attempt runs in-process
+// under the deadline (or, with options.sandbox, in a fork()ed child killed at the
+// deadline), under the retry policy above. A reaped attempt's report carries the
+// deadline message and, when the trial left none, the reaper's postmortem; a crashed
+// one's carries "crashed: <what>". `stats` (nullable) accumulates reaped/crashed/
+// retried.
+SupervisedTrialResult RunSupervisedSeed(const SeededTrial& trial, std::uint64_t seed,
                                         const SupervisorOptions& options,
                                         SupervisorStats* stats);
 
@@ -233,21 +272,15 @@ SupervisedTrialResult RunSupervisedSeed(const SupervisableTrialFactory& factory,
 // under supervision. `id` must be unique within the sweep (it keys quarantine.json).
 struct SupervisedCell {
   std::string id;
-  SupervisableTrialFactory trial;
+  SeededTrial trial;
 };
 
-struct SupervisedCellResult {
+struct SupervisedCellResult : SupervisionVerdict {
   std::string id;
   // Folded through the same sweep_internal accumulation as every other sweep, so a
   // healthy cell's outcome is bit-identical to an unsupervised sweep of it.
   SweepOutcome outcome;
-  bool quarantined = false;
-  std::string quarantine_reason;  // "" unless quarantined.
-  int completed_seeds = 0;        // Seeds folded before quarantine (== runs).
-  TrialCrash last_crash;          // Last catastrophic attempt's crash record.
-  std::string last_postmortem_cause;  // Last catastrophic attempt's postmortem.
-  std::string last_postmortem;
-  SupervisorStats stats;
+  int completed_seeds = 0;  // Seeds folded before quarantine (== runs).
 };
 
 struct SupervisedSweepReport {
@@ -264,8 +297,7 @@ struct SupervisedSweepReport {
   // postmortems for the quarantined ones.
   std::string QuarantineJson() const;
 
-  // Writes QuarantineJson() atomically (write "<path>.tmp", rename). False on I/O
-  // failure.
+  // Writes QuarantineJson() atomically (WriteFileAtomically). False on I/O failure.
   bool WriteQuarantineFile(const std::string& path) const;
 };
 
@@ -277,6 +309,12 @@ struct SupervisedSweepReport {
 SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
                                      int num_seeds, std::uint64_t base_seed,
                                      const SupervisorOptions& options);
+
+// quarantine.json's envelope, shared by SupervisedSweepReport and the chaos
+// calibration table: schema_version, quarantined_cells, the reaped/crashed/retried
+// totals, then `cells` (one rendered JSON object each) as the "cells" array.
+std::string QuarantineJsonDocument(int quarantined_cells, const SupervisorStats& totals,
+                                   const std::vector<std::string>& cells);
 
 }  // namespace syneval
 

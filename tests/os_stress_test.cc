@@ -38,8 +38,8 @@ void RunSandboxed(const std::function<std::string(OsRuntime&)>& body) {
   options.max_attempts = 1;  // A catastrophic stress body is a bug, not a flake.
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [&body](std::uint64_t) { return MakeSupervisableOsTrial(body); }, /*seed=*/1,
-      options, &stats);
+      MakeSupervisableOsTrial([&body](OsRuntime& rt, std::uint64_t) { return body(rt); }),
+      /*seed=*/1, options, &stats);
   EXPECT_FALSE(result.Catastrophic())
       << (result.reaped ? "trial reaped at deadline" : "trial crashed: " + result.crash.what)
       << (result.crash.postmortem.empty() ? "" : "\n" + result.crash.postmortem)

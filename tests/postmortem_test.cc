@@ -326,9 +326,10 @@ TEST(PostmortemTest, DeadlockNarrativeNamesHoldWaitEdges) {
   // The ABBA deadlock: each thread holds one mutex and blocks on the other. The
   // postmortem must classify the cause as deadlock and reconstruct both hold/wait
   // edges with the acquisition events.
-  DetRuntime runtime(MakeRandomSchedule(11));
+  // Attachments first, so they outlive the runtime (runtime.h).
   AnomalyDetector detector;
   FlightRecorder recorder;
+  DetRuntime runtime(MakeRandomSchedule(11));
   runtime.AttachAnomalyDetector(&detector);
   runtime.AttachFlightRecorder(&recorder);
 

@@ -216,6 +216,47 @@ TEST(DetRuntimeTest, ThreadsCanSpawnThreads) {
   EXPECT_EQ(value, 8);
 }
 
+// Attachment lifetime (runtime.h): once every managed thread finished, the runtime
+// touches no attachment again, so a detector and recorder declared after the runtime
+// (and destroyed before it) are safe. Under ASan/UBSan a destructor that still called
+// into the dead detector fails these two.
+TEST(DetRuntimeTest, OutlivesItsAttachmentsAfterACompletedRun) {
+  DetRuntime rt(std::make_unique<RandomSchedule>(3));
+  AnomalyDetector detector;
+  FlightRecorder flight;
+  rt.AttachAnomalyDetector(&detector);
+  rt.AttachFlightRecorder(&flight);
+  auto mu = rt.CreateMutex();
+  auto t1 = rt.StartThread("one", [&] { RtLock lock(*mu); });
+  auto t2 = rt.StartThread("two", [&] { RtLock lock(*mu); });
+  ASSERT_TRUE(rt.Run().completed);
+}
+
+TEST(DetRuntimeTest, OutlivesItsAttachmentsAfterADeadlockedRun) {
+  DetRuntime::Options options;
+  options.preempt_before_lock = true;
+  DetRuntime rt(std::make_unique<ScriptedSchedule>(std::vector<std::uint32_t>{
+                    1, 1, 2, 2, 1, 2, 1, 2, 1, 2}),
+                options);
+  AnomalyDetector detector;
+  FlightRecorder flight;
+  rt.AttachAnomalyDetector(&detector);
+  rt.AttachFlightRecorder(&flight);
+  auto a = rt.CreateMutex();
+  auto b = rt.CreateMutex();
+  auto t1 = rt.StartThread("ab", [&] {
+    RtLock la(*a);
+    rt.Yield();
+    RtLock lb(*b);
+  });
+  auto t2 = rt.StartThread("ba", [&] {
+    RtLock lb(*b);
+    rt.Yield();
+    RtLock la(*a);
+  });
+  ASSERT_TRUE(rt.Run().deadlocked);
+}
+
 TEST(DetRuntimeTest, NowNanosAdvancesWithSteps) {
   DetRuntime rt(std::make_unique<RandomSchedule>(1));
   std::uint64_t before = 0;

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,7 +44,7 @@ using std::chrono::steady_clock;
 
 // A body that parks the driving thread on a never-signalled condvar until the reaper
 // force-unwinds it (TrialAborted propagates out of Wait and out of the body).
-std::string HangForever(OsRuntime& rt) {
+std::string HangForever(OsRuntime& rt, std::uint64_t) {
   std::unique_ptr<RtMutex> mu = rt.CreateMutex();
   std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
   std::unique_lock<RtMutex> lock(*mu);
@@ -54,7 +55,7 @@ std::string HangForever(OsRuntime& rt) {
 
 // A hang with managed threads parked too: the reaper must unwind all of them, and
 // JoinAll-style cleanup must not deadlock during the abort.
-std::string HangWithWorkers(OsRuntime& rt) {
+std::string HangWithWorkers(OsRuntime& rt, std::uint64_t) {
   std::unique_ptr<RtMutex> mu = rt.CreateMutex();
   std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
   std::vector<std::unique_ptr<RtThread>> threads;
@@ -80,6 +81,14 @@ SupervisorOptions FastOptions() {
   return options;
 }
 
+// One supervised attempt of a canned OsRuntime trial (max_attempts = 1: no retries).
+SupervisedTrialResult RunOnce(std::function<std::string(OsRuntime&, std::uint64_t)> body,
+                              SupervisorOptions options = FastOptions()) {
+  options.max_attempts = 1;
+  return RunSupervisedSeed(MakeSupervisableOsTrial(std::move(body)), /*seed=*/1, options,
+                           nullptr);
+}
+
 // ---- Gauge ----------------------------------------------------------------------------
 
 TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
@@ -97,8 +106,7 @@ TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
 
 TEST(SupervisorTest, HungTrialIsReapedWithinDeadline) {
   const auto start = steady_clock::now();
-  const SupervisedTrialResult result =
-      RunSupervisedTrial(MakeSupervisableOsTrial(HangForever), FastOptions());
+  const SupervisedTrialResult result = RunOnce(HangForever);
   const auto elapsed = steady_clock::now() - start;
   EXPECT_TRUE(result.reaped);
   EXPECT_FALSE(result.crashed);
@@ -110,15 +118,13 @@ TEST(SupervisorTest, HungTrialIsReapedWithinDeadline) {
 }
 
 TEST(SupervisorTest, HungManagedThreadsAreUnwoundToo) {
-  const SupervisedTrialResult result =
-      RunSupervisedTrial(MakeSupervisableOsTrial(HangWithWorkers), FastOptions());
+  const SupervisedTrialResult result = RunOnce(HangWithWorkers);
   EXPECT_TRUE(result.reaped);
   EXPECT_NE(result.report.message.find("deadline"), std::string::npos);
 }
 
 TEST(SupervisorTest, ReapedTrialCarriesALivePostmortem) {
-  const SupervisedTrialResult result =
-      RunSupervisedTrial(MakeSupervisableOsTrial(HangForever), FastOptions());
+  const SupervisedTrialResult result = RunOnce(HangForever);
   ASSERT_TRUE(result.reaped);
   // The reaper captured observe() just before aborting: the detector had a parked
   // waiter to report, so the postmortem names the stuck wait.
@@ -127,8 +133,8 @@ TEST(SupervisorTest, ReapedTrialCarriesALivePostmortem) {
 }
 
 TEST(SupervisorTest, HealthyTrialIsUntouchedByTheDeadline) {
-  const SupervisedTrialResult result = RunSupervisedTrial(
-      MakeSupervisableOsTrial([](OsRuntime&) { return std::string(); }), FastOptions());
+  const SupervisedTrialResult result =
+      RunOnce([](OsRuntime&, std::uint64_t) { return std::string(); });
   EXPECT_FALSE(result.reaped);
   EXPECT_FALSE(result.crashed);
   EXPECT_TRUE(result.report.Passed());
@@ -138,21 +144,68 @@ TEST(SupervisorTest, ZeroDeadlineDisablesReaping) {
   // With no deadline the trial must complete on its own; use a body that finishes.
   SupervisorOptions options;
   options.trial_deadline = milliseconds(0);
-  const SupervisedTrialResult result = RunSupervisedTrial(
-      MakeSupervisableOsTrial([](OsRuntime&) { return std::string("verdict"); }),
-      options);
+  const SupervisedTrialResult result =
+      RunOnce([](OsRuntime&, std::uint64_t) { return std::string("verdict"); }, options);
   EXPECT_FALSE(result.reaped);
   EXPECT_EQ(result.report.message, "verdict");
+}
+
+// The trial registers its scope only after its set-up; a reap that lands before then
+// is remembered by the slot and delivered at registration.
+TEST(TrialAbortSlotTest, AbortBeforeRegistrationFiresOnRegister) {
+  TrialAbortSlot slot;
+  bool aborted_at_registration = false;
+  const TrialReapResult reap = RunWithTrialDeadline(slot, milliseconds(20), [&] {
+    const auto give_up = steady_clock::now() + milliseconds(5000);
+    while (!slot.aborted() && steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    TrialAbortScope scope([&] { aborted_at_registration = true; },
+                          [] { return TrialObservation{}; });
+  });
+  EXPECT_TRUE(reap.reaped);
+  EXPECT_TRUE(aborted_at_registration);
+}
+
+// A body that waits for the abort, but gives up (and reports it) after 10 s — so a
+// lost abort shows up as a slow, failing trial instead of a hung test.
+std::string WaitForAbortOrGiveUp(OsRuntime& rt, std::uint64_t) {
+  std::unique_ptr<RtMutex> mu = rt.CreateMutex();
+  std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
+  std::unique_lock<RtMutex> lock(*mu);
+  const auto give_up = steady_clock::now() + milliseconds(10000);
+  while (steady_clock::now() < give_up) {
+    cv->WaitFor(*mu, 100'000'000);  // 100 ms
+  }
+  return "abort never arrived";
+}
+
+TEST(SupervisorTest, ReapBeforeTheTrialRegistersStillUnwindsIt) {
+  // The set-up outlasts the 150 ms deadline, so the reaper fires while the slot is
+  // still empty; the OsRuntime trial must take the abort when it registers.
+  const SeededTrial os_trial = MakeSupervisableOsTrial(WaitForAbortOrGiveUp);
+  SupervisorOptions options = FastOptions();
+  const auto start = steady_clock::now();
+  const SupervisedTrialResult result = RunSupervisedSeed(
+      [&os_trial](std::uint64_t seed) {
+        std::this_thread::sleep_for(milliseconds(400));
+        return os_trial(seed);
+      },
+      /*seed=*/1, options, nullptr);
+  const auto elapsed = steady_clock::now() - start;
+  EXPECT_TRUE(result.reaped);
+  EXPECT_NE(result.report.message.find("reaped"), std::string::npos)
+      << result.report.message;
+  EXPECT_LT(elapsed, milliseconds(5000));
 }
 
 // ---- Crash capture --------------------------------------------------------------------
 
 TEST(SupervisorTest, EscapingExceptionBecomesStructuredCrash) {
-  const SupervisedTrialResult result = RunSupervisedTrial(
-      MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
+  const SupervisedTrialResult result =
+      RunOnce([](OsRuntime&, std::uint64_t) -> std::string {
         throw std::runtime_error("synthetic defect in trial body");
-      }),
-      FastOptions());
+      });
   EXPECT_TRUE(result.crashed);
   EXPECT_FALSE(result.reaped);
   EXPECT_TRUE(result.crash.crashed);
@@ -162,10 +215,8 @@ TEST(SupervisorTest, EscapingExceptionBecomesStructuredCrash) {
 }
 
 TEST(SupervisorTest, OracleFailureIsAResultNotACrash) {
-  const SupervisedTrialResult result = RunSupervisedTrial(
-      MakeSupervisableOsTrial(
-          [](OsRuntime&) { return std::string("oracle: order violated"); }),
-      FastOptions());
+  const SupervisedTrialResult result = RunOnce(
+      [](OsRuntime&, std::uint64_t) { return std::string("oracle: order violated"); });
   EXPECT_FALSE(result.Catastrophic());
   EXPECT_EQ(result.report.message, "oracle: order violated");
 }
@@ -178,14 +229,12 @@ TEST(SupervisorTest, CatastrophicAttemptsAreRetriedUntilOneSucceeds) {
   options.max_attempts = 3;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [attempts](std::uint64_t) {
-        return MakeSupervisableOsTrial([attempts](OsRuntime&) -> std::string {
-          if (attempts->fetch_add(1) < 2) {
-            throw std::runtime_error("flaky crash");
-          }
-          return "";
-        });
-      },
+      MakeSupervisableOsTrial([attempts](OsRuntime&, std::uint64_t) -> std::string {
+        if (attempts->fetch_add(1) < 2) {
+          throw std::runtime_error("flaky crash");
+        }
+        return "";
+      }),
       /*seed=*/1, options, &stats);
   EXPECT_FALSE(result.Catastrophic());
   EXPECT_EQ(result.attempts, 3);
@@ -200,12 +249,10 @@ TEST(SupervisorTest, OracleFailuresAreNeverRetried) {
   options.max_attempts = 5;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [attempts](std::uint64_t) {
-        return MakeSupervisableOsTrial([attempts](OsRuntime&) {
-          attempts->fetch_add(1);
-          return std::string("legitimate oracle failure");
-        });
-      },
+      MakeSupervisableOsTrial([attempts](OsRuntime&, std::uint64_t) {
+        attempts->fetch_add(1);
+        return std::string("legitimate oracle failure");
+      }),
       /*seed=*/1, options, &stats);
   EXPECT_EQ(attempts->load(), 1);
   EXPECT_EQ(stats.retried, 0);
@@ -214,25 +261,21 @@ TEST(SupervisorTest, OracleFailuresAreNeverRetried) {
 
 // ---- Quarantine and the acceptance scenario -------------------------------------------
 
-SupervisableTrialFactory HealthyCounterCell(int start) {
-  return [start](std::uint64_t seed) {
-    return MakeSupervisableOsTrial([start, seed](OsRuntime&) -> std::string {
-      // Deterministic per-seed verdict so outcomes are comparable across sweeps.
-      return (start + static_cast<int>(seed)) % 7 == 0 ? "synthetic oracle failure"
-                                                       : "";
-    });
-  };
+SeededTrial HealthyCounterCell(int start) {
+  return MakeSupervisableOsTrial([start](OsRuntime&, std::uint64_t seed) -> std::string {
+    // Deterministic per-seed verdict so outcomes are comparable across sweeps.
+    return (start + static_cast<int>(seed)) % 7 == 0 ? "synthetic oracle failure" : "";
+  });
 }
 
 TEST(SupervisorTest, CellIsQuarantinedAfterNCatastrophicSeeds) {
   SupervisorOptions options = FastOptions();
   options.quarantine_after = 3;
   const std::vector<SupervisedCell> cells = {
-      {"always-crashes", [](std::uint64_t) {
-         return MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
-           throw std::runtime_error("permanent defect");
-         });
-       }}};
+      {"always-crashes",
+       MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t) -> std::string {
+         throw std::runtime_error("permanent defect");
+       })}};
   const SupervisedSweepReport report = SuperviseSweep(cells, /*num_seeds=*/10, 1, options);
   ASSERT_EQ(report.cells.size(), 1u);
   const SupervisedCellResult& cell = report.cells[0];
@@ -262,14 +305,11 @@ TEST(SupervisorTest, SweepWithHungAndCrashingCellsKeepsHealthyOutcomesBitIdentic
   ASSERT_EQ(clean.QuarantinedCells(), 0);
 
   std::vector<SupervisedCell> cells = healthy_only;
-  cells.push_back({"hung", [](std::uint64_t) {
-                     return MakeSupervisableOsTrial(HangForever);
-                   }});
-  cells.push_back({"crash", [](std::uint64_t) {
-                     return MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
-                       throw std::runtime_error("boom");
-                     });
-                   }});
+  cells.push_back({"hung", MakeSupervisableOsTrial(HangForever)});
+  cells.push_back(
+      {"crash", MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t) -> std::string {
+         throw std::runtime_error("boom");
+       })});
   const auto start = steady_clock::now();
   const SupervisedSweepReport report = SuperviseSweep(cells, kSeeds, 1, options);
   const auto elapsed = steady_clock::now() - start;
@@ -528,13 +568,11 @@ TEST(SupervisorSandboxTest, SegfaultingChildBecomesStructuredCrash) {
   options.trial_deadline = milliseconds(2000);
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [](std::uint64_t) {
-        return MakeSupervisableOsTrial([](OsRuntime&) -> std::string {
-          volatile int* null_pointer = nullptr;
-          *null_pointer = 42;  // SIGSEGV in the child, not this process.
-          return "";
-        });
-      },
+      MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t) -> std::string {
+        volatile int* null_pointer = nullptr;
+        *null_pointer = 42;  // SIGSEGV in the child, not this process.
+        return "";
+      }),
       /*seed=*/1, options, &stats);
   EXPECT_TRUE(result.crashed);
   EXPECT_EQ(result.crash.signal_number, SIGSEGV);
@@ -548,9 +586,8 @@ TEST(SupervisorSandboxTest, HungChildIsKilledAtTheDeadline) {
   options.trial_deadline = milliseconds(300);
   SupervisorStats stats;
   const auto start = steady_clock::now();
-  const SupervisedTrialResult result = RunSupervisedSeed(
-      [](std::uint64_t) { return MakeSupervisableOsTrial(HangForever); },
-      /*seed=*/1, options, &stats);
+  const SupervisedTrialResult result =
+      RunSupervisedSeed(MakeSupervisableOsTrial(HangForever), /*seed=*/1, options, &stats);
   const auto elapsed = steady_clock::now() - start;
   EXPECT_TRUE(result.reaped);
   EXPECT_EQ(stats.reaped, 1);
@@ -565,11 +602,9 @@ TEST(SupervisorSandboxTest, CleanChildReportRoundTripsThroughSharedMemory) {
   options.sandbox = true;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
-      [](std::uint64_t seed) {
-        return MakeSupervisableOsTrial([seed](OsRuntime&) {
-          return "verdict for seed " + std::to_string(seed);
-        });
-      },
+      MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t seed) {
+        return "verdict for seed " + std::to_string(seed);
+      }),
       /*seed=*/7, options, &stats);
   EXPECT_FALSE(result.Catastrophic());
   EXPECT_EQ(result.report.message, "verdict for seed 7");
