@@ -11,10 +11,9 @@
 #include <utility>
 
 #include "syneval/anomaly/detector.h"
-#include "syneval/problems/oracles.h"
-#include "syneval/problems/virtual_disk.h"
 #include "syneval/problems/workloads.h"
 #include "syneval/runtime/det_runtime.h"
+#include "syneval/solutions/cases.h"
 #include "syneval/solutions/ccr_solutions.h"
 #include "syneval/solutions/dining_solutions.h"
 #include "syneval/solutions/monitor_solutions.h"
@@ -40,13 +39,10 @@ const char* DporVerdictName(DporVerdict verdict) {
 
 namespace {
 
-// Checked on completed runs only; "" means clean.
-using OracleFn = std::function<std::string()>;
-
-// Constructs the cell's solution and workload on the given runtime. The returned
-// oracle closure owns (via shared_ptr captures) everything that must outlive the
-// run — solution, thread handles, auxiliary state like the virtual disk.
-using TrialBody = std::function<OracleFn(DetRuntime&, TraceRecorder&)>;
+// Constructs the cell's solution and workload on the given runtime (a case body,
+// solutions/cases.h). The returned oracle owns everything that must outlive the run
+// and is checked on completed runs only.
+using TrialBody = std::function<CaseOracle(DetRuntime&, TraceRecorder&)>;
 
 DporRunner MakeRunner(TrialBody body) {
   return [body = std::move(body)](const std::vector<std::uint32_t>& prefix,
@@ -68,7 +64,7 @@ DporRunner MakeRunner(TrialBody body) {
     // Deliberately NOT bridged into the flight recorder: op-label trace events would
     // only add spurious footprint dependences.
     TraceRecorder trace;
-    const OracleFn oracle = body(runtime, trace);
+    const CaseOracle oracle = body(runtime, trace);
     const DetRuntime::RunResult result = runtime.Run();
 
     DporRun run;
@@ -84,7 +80,7 @@ DporRunner MakeRunner(TrialBody body) {
     run.anomalies = detector.counts().total();
     run.anomaly_report = detector.Report();
     if (result.completed && oracle) {
-      run.oracle = oracle();
+      run.oracle = oracle(trace.Events());
     }
     run.hb = AnalyzeHappensBefore(run.events, &flight);
     if (!result.completed) {
@@ -574,84 +570,11 @@ DiningWorkloadParams DporDiningParams() {
   return params;
 }
 
-template <typename Buffer>
-TrialBody BoundedBufferBody(int capacity) {
-  return [capacity](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    auto buffer = std::make_shared<Buffer>(runtime, capacity);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnBoundedBufferWorkload(runtime, *buffer, trace, DporBufferParams()));
-    return [buffer, threads, capacity, &trace] {
-      return CheckBoundedBuffer(trace.Events(), capacity);
-    };
-  };
-}
-
-template <typename Buffer>
-TrialBody OneSlotBody() {
-  return [](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    auto buffer = std::make_shared<Buffer>(runtime);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnOneSlotBufferWorkload(runtime, *buffer, trace, DporBufferParams()));
-    return [buffer, threads, &trace] { return CheckOneSlotBuffer(trace.Events()); };
-  };
-}
-
-template <typename Rw>
-TrialBody RwBody() {
-  return [](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    auto rw = std::make_shared<Rw>(runtime);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnReadersWritersWorkload(runtime, *rw, trace, DporRwParams()));
-    return [rw, threads, &trace] {
-      return CheckReadersWriters(trace.Events(), RwPolicy::kReadersPriority, 8,
-                                 RwStrictness::kStrict);
-    };
-  };
-}
-
-template <typename Fcfs>
-TrialBody FcfsBody(int ops_per_thread) {
-  return [ops_per_thread](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    auto resource = std::make_shared<Fcfs>(runtime);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnFcfsWorkload(runtime, *resource, trace, DporFcfsParams(ops_per_thread)));
-    return [resource, threads, &trace] { return CheckFcfsResource(trace.Events()); };
-  };
-}
-
-template <typename Scheduler>
-TrialBody DiskBody() {
-  return [](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    const DiskWorkloadParams params = DporDiskParams();
-    auto scheduler = std::make_shared<Scheduler>(runtime, 0);
-    auto disk = std::make_shared<VirtualDisk>(params.tracks, 0);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnDiskWorkload(runtime, *scheduler, *disk, trace, params));
-    return [scheduler, disk, threads, &trace] {
-      return disk->violations() != 0
-                 ? std::string("virtual disk observed concurrent access")
-                 : CheckScanDiskSchedule(trace.Events(), 0);
-    };
-  };
-}
-
-template <typename Table>
-TrialBody DiningBody(int seats) {
-  return [seats](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    auto table = std::make_shared<Table>(runtime, seats);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnDiningWorkload(runtime, *table, trace, DporDiningParams()));
-    return [table, threads, seats, &trace] {
-      return CheckDiningPhilosophers(trace.Events(), seats);
-    };
-  };
-}
-
 // Two threads incrementing an instrumented SharedCell, optionally under a binary
 // semaphore. The guarded variant proves race-freedom through the HB engine's lock
 // edges; the unguarded variant is the seeded client-race demonstration.
 TrialBody CounterBody(bool guarded) {
-  return [guarded](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
+  return [guarded](DetRuntime& runtime, TraceRecorder& trace) -> CaseOracle {
     (void)trace;
     constexpr int kThreads = 2;
     constexpr int kIncrementsPerThread = 2;
@@ -676,7 +599,7 @@ TrialBody CounterBody(bool guarded) {
             }
           }));
     }
-    return [counter, guard, threads] {
+    return [counter, guard, threads](const std::vector<Event>&) {
       return counter->Peek() == kThreads * kIncrementsPerThread
                  ? std::string()
                  : std::string("lost update: counter != ") +
@@ -685,21 +608,16 @@ TrialBody CounterBody(bool guarded) {
   };
 }
 
-TrialBody StolenSignalBody() {
-  return [](DetRuntime& runtime, TraceRecorder& trace) -> OracleFn {
-    // 1 producer x 2 items, 2 consumers x 1 item, capacity 1: the smallest shape
-    // where a consumer's wake-signal can be stolen by the other consumer while the
-    // producer is the thread that needed it.
-    BufferWorkloadParams params;
-    params.producers = 1;
-    params.consumers = 2;
-    params.items_per_producer = 2;
-    params.work = 0;
-    auto buffer = std::make_shared<StolenSignalBuffer>(runtime, 1);
-    auto threads = std::make_shared<ThreadList>(
-        SpawnBoundedBufferWorkload(runtime, *buffer, trace, params));
-    return [buffer, threads, &trace] { return CheckBoundedBuffer(trace.Events(), 1); };
-  };
+// 1 producer x 2 items, 2 consumers x 1 item, capacity 1: the smallest shape where a
+// consumer's wake-signal can be stolen by the other consumer while the producer is the
+// thread that needed it.
+CaseOracle StolenSignalBody(DetRuntime& runtime, TraceRecorder& trace) {
+  BufferWorkloadParams params;
+  params.producers = 1;
+  params.consumers = 2;
+  params.items_per_producer = 2;
+  params.work = 0;
+  return BoundedBufferCase<StolenSignalBuffer>(runtime, trace, params, 1);
 }
 
 }  // namespace
@@ -708,39 +626,68 @@ std::vector<DporCell> BuildDporSuite() {
   std::vector<DporCell> suite;
   AddCell(suite, Mechanism::kSemaphore, "bounded-buffer",
           "Split-semaphore bounded buffer (cap 1)", false,
-          BoundedBufferBody<SemaphoreBoundedBuffer>(1));
+          [](DetRuntime& rt, TraceRecorder& trace) {
+            return BoundedBufferCase<SemaphoreBoundedBuffer>(rt, trace, DporBufferParams(), 1);
+          });
   AddCell(suite, Mechanism::kMonitor, "bounded-buffer", "Monitor bounded buffer (cap 1)",
-          false, BoundedBufferBody<MonitorBoundedBuffer>(1));
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return BoundedBufferCase<MonitorBoundedBuffer>(rt, trace, DporBufferParams(), 1);
+          });
   AddCell(suite, Mechanism::kSemaphore, "one-slot-buffer", "Semaphore one-slot buffer",
-          false, OneSlotBody<SemaphoreOneSlotBuffer>());
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return OneSlotCase<SemaphoreOneSlotBuffer>(rt, trace, DporBufferParams());
+          });
   AddCell(suite, Mechanism::kConditionalRegion, "one-slot-buffer", "CCR one-slot buffer",
-          false, OneSlotBody<CcrOneSlotBuffer>());
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return OneSlotCase<CcrOneSlotBuffer>(rt, trace, DporBufferParams());
+          });
   AddCell(suite, Mechanism::kMonitor, "rw-readers-priority", "Monitor readers-priority",
-          false, RwBody<MonitorRwReadersPriority>());
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return ReadersWritersCase<MonitorRwReadersPriority>(
+                rt, trace, DporRwParams(), RwPolicy::kReadersPriority, RwStrictness::kStrict);
+          });
   AddCell(suite, Mechanism::kSerializer, "rw-readers-priority",
-          "Serializer readers-priority", false, RwBody<SerializerRwReadersPriority>());
+          "Serializer readers-priority", false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return ReadersWritersCase<SerializerRwReadersPriority>(
+                rt, trace, DporRwParams(), RwPolicy::kReadersPriority, RwStrictness::kStrict);
+          });
   AddCell(suite, Mechanism::kSemaphore, "fcfs-resource", "FIFO-semaphore FCFS resource",
-          false, FcfsBody<SemaphoreFcfsResource>(/*ops_per_thread=*/2));
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return FcfsCase<SemaphoreFcfsResource>(rt, trace, DporFcfsParams(2));
+          });
   // The serializer's internal queue events make its tree an order of magnitude
   // bigger per op; one op per thread keeps it exhaustively provable.
   AddCell(suite, Mechanism::kSerializer, "fcfs-resource", "Serializer FCFS resource",
-          false, FcfsBody<SerializerFcfsResource>(/*ops_per_thread=*/1));
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return FcfsCase<SerializerFcfsResource>(rt, trace, DporFcfsParams(1));
+          });
   AddCell(suite, Mechanism::kMonitor, "disk-scan", "Monitor SCAN disk scheduler", false,
-          DiskBody<MonitorDiskScheduler>());
+          [](DetRuntime& rt, TraceRecorder& trace) {
+            return DiskCase<MonitorDiskScheduler>(rt, trace, DporDiskParams(), /*scan=*/true);
+          });
   AddCell(suite, Mechanism::kSerializer, "disk-scan", "Serializer SCAN disk scheduler",
-          false, DiskBody<SerializerDiskScheduler>());
+          false, [](DetRuntime& rt, TraceRecorder& trace) {
+            return DiskCase<SerializerDiskScheduler>(rt, trace, DporDiskParams(),
+                                                     /*scan=*/true);
+          });
   AddCell(suite, Mechanism::kSemaphore, "dining", "Ordered-fork dining (2 seats)", false,
-          DiningBody<SemaphoreDiningOrdered>(2));
+          [](DetRuntime& rt, TraceRecorder& trace) {
+            return DiningCase<SemaphoreDiningOrdered>(rt, trace, DporDiningParams(), 2);
+          });
   AddCell(suite, Mechanism::kMonitor, "dining", "Monitor dining (2 seats)", false,
-          DiningBody<MonitorDining>(2));
+          [](DetRuntime& rt, TraceRecorder& trace) {
+            return DiningCase<MonitorDining>(rt, trace, DporDiningParams(), 2);
+          });
   AddCell(suite, Mechanism::kSemaphore, "shared-counter", "Semaphore-guarded counter",
           false, CounterBody(/*guarded=*/true));
 
   // Seeded-bug demonstration cells: DPOR must find a counterexample for each.
   AddCell(suite, Mechanism::kSemaphore, "dining", "Naive dining (seeded deadlock)", true,
-          DiningBody<SemaphoreDiningNaive>(2));
+          [](DetRuntime& rt, TraceRecorder& trace) {
+            return DiningCase<SemaphoreDiningNaive>(rt, trace, DporDiningParams(), 2);
+          });
   AddCell(suite, Mechanism::kMonitor, "bounded-buffer",
-          "Single-condvar buffer (seeded stolen signal)", true, StolenSignalBody());
+          "Single-condvar buffer (seeded stolen signal)", true, StolenSignalBody);
   AddCell(suite, Mechanism::kSemaphore, "shared-counter",
           "Unguarded counter (seeded race)", true, CounterBody(/*guarded=*/false));
   return suite;

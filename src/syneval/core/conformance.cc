@@ -1,688 +1,82 @@
 #include "syneval/core/conformance.h"
 
-#include <memory>
+#include <span>
 #include <utility>
 
-#include "syneval/anomaly/detector.h"
+#include "syneval/fault/chaos.h"
 #include "syneval/problems/oracles.h"
+#include "syneval/runtime/det_runtime.h"
+#include "syneval/solutions/cases.h"
+#include "syneval/solutions/pathexpr_solutions.h"
 #include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/postmortem.h"
-#include "syneval/problems/workloads.h"
-#include "syneval/runtime/det_runtime.h"
-#include "syneval/solutions/ccr_solutions.h"
-#include "syneval/solutions/csp_solutions.h"
-#include "syneval/solutions/dining_solutions.h"
-#include "syneval/solutions/monitor_solutions.h"
-#include "syneval/solutions/pathexpr_solutions.h"
-#include "syneval/solutions/semaphore_solutions.h"
-#include "syneval/solutions/serializer_solutions.h"
-#include "syneval/solutions/smokers_solutions.h"
+#include "syneval/trace/recorder.h"
 
 namespace syneval {
 
 namespace {
 
-// Capture sink for ReplayConformanceTrial: when set, the next TrialProbe::Finish on
-// this thread also hands out the full trace and the structured postmortem. The
-// conformance trials are opaque std::functions built over ~30 solution closures, so a
-// thread-local seam here beats threading a capture parameter through every factory;
-// sweep workers never set it, so sweeps are unaffected.
-struct TrialCapture {
-  std::vector<Event> events;
-  Postmortem postmortem;
-};
-thread_local TrialCapture* g_trial_capture = nullptr;
-
-// Per-trial anomaly probe: wires a fresh detector into the runtime (so every primitive
-// and mechanism built afterwards registers with it) and into the trace (starvation
-// watchdog + anomaly marks), then folds the findings into the TrialReport. Must be
-// constructed after the DetRuntime and before the solution under test.
-struct TrialProbe {
-  AnomalyDetector detector;
-  TraceRecorder trace;
-  FlightRecorder flight{FlightRecorder::Options::ForTrial()};
-
-  explicit TrialProbe(DetRuntime& runtime) {
-    detector.AttachTrace(&trace);
-    trace.SetObserver(&detector);
-    trace.SetSecondaryObserver(&flight);
-    runtime.AttachAnomalyDetector(&detector);
-    runtime.AttachFlightRecorder(&flight);
-  }
-
-  TrialReport Finish(const DetRuntime::RunResult& result,
-                     const std::function<std::string(const std::vector<Event>&)>& check) {
-    TrialReport report;
-    report.anomalies = detector.counts();
-    report.anomaly_report = detector.Report("; ");
-    report.flight_evicted = flight.evicted();
-    if (!result.completed) {
-      report.message = "runtime: " + result.report;
-    } else {
-      report.message = check(trace.Events());
-      if (report.message.empty() && !report.anomalies.Clean()) {
-        // The oracle passed but the detector flagged something (e.g. starvation):
-        // surface it as the trial's failure so the sweep records the seed.
-        report.message = "anomaly: " + report.anomaly_report;
-      }
-    }
-    if (!result.completed || !report.anomalies.Clean()) {
-      Postmortem pm = BuildPostmortem(flight, &detector);
-      report.postmortem_cause = pm.cause;
-      report.postmortem = pm.ToText();
-      if (g_trial_capture != nullptr) {
-        g_trial_capture->postmortem = std::move(pm);
-      }
-    }
-    if (g_trial_capture != nullptr) {
-      g_trial_capture->events = trace.Events();
-    }
+// One conformance trial of `entry` on the shared trial stack (fault/chaos.h), with the
+// default DetRuntime options and trial-sized rings. A detector finding on a run whose
+// oracle passed is the trial's failure, so the sweep records the seed; a run that did
+// not complete, or drew a finding, carries its postmortem. `replay`, when given, also
+// keeps the trace and the structured postmortem.
+TrialReport RunConformanceTrial(const CaseEntry& entry, int workload_scale,
+                                std::uint64_t seed, ConformanceReplay* replay) {
+  TrialReport report;
+  if (entry.body == nullptr) {
+    report.message = RunFigure1AnomalyScenario(seed);
     return report;
   }
-};
-
-// Generic trial runner: build a fresh runtime/probe/solution/workload per seed, drive it
-// to completion, then apply the oracle to the recorded trace.
-template <typename SolutionT>
-std::function<TrialReport(std::uint64_t)> MakeTrial(
-    std::function<std::unique_ptr<SolutionT>(Runtime&)> make,
-    std::function<ThreadList(Runtime&, SolutionT&, TraceRecorder&)> spawn,
-    std::function<std::string(const std::vector<Event>&)> check) {
-  return [make = std::move(make), spawn = std::move(spawn),
-          check = std::move(check)](std::uint64_t seed) -> TrialReport {
-    DetRuntime runtime(MakeRandomSchedule(seed));
-    TrialProbe probe(runtime);
-    std::unique_ptr<SolutionT> solution = make(runtime);
-    ThreadList threads = spawn(runtime, *solution, probe.trace);
-    const DetRuntime::RunResult result = runtime.Run();
-    return probe.Finish(result, check);
-  };
-}
-
-// Trial runner for server-process (CSP) solutions: as MakeTrial, plus a terminator
-// thread that joins the clients and shuts the server down so the deterministic run can
-// complete.
-template <typename Concrete>
-std::function<TrialReport(std::uint64_t)> MakeCspTrial(
-    std::function<std::unique_ptr<Concrete>(Runtime&)> make,
-    std::function<ThreadList(Runtime&, Concrete&, TraceRecorder&)> spawn,
-    std::function<std::string(const std::vector<Event>&)> check) {
-  return [make = std::move(make), spawn = std::move(spawn),
-          check = std::move(check)](std::uint64_t seed) -> TrialReport {
-    DetRuntime runtime(MakeRandomSchedule(seed));
-    TrialProbe probe(runtime);
-    std::unique_ptr<Concrete> solution = make(runtime);
-    ThreadList threads = spawn(runtime, *solution, probe.trace);
-    std::vector<RtThread*> clients;
-    for (auto& thread : threads) {
-      clients.push_back(thread.get());
+  TrialStack stack(seed, /*plan=*/nullptr, {}, FlightRecorder::Options::ForTrial());
+  stack.Run(entry, seed, workload_scale);
+  report.anomalies = stack.detector.counts();
+  report.anomaly_report = stack.detector.Report("; ");
+  report.flight_evicted = stack.flight.evicted();
+  if (!stack.result.completed) {
+    report.message = "runtime: " + stack.result.report;
+  } else {
+    report.message = stack.verdict;
+    if (report.message.empty() && !report.anomalies.Clean()) {
+      report.message = "anomaly: " + report.anomaly_report;
     }
-    Concrete* raw_solution = solution.get();
-    ThreadList terminator;
-    terminator.push_back(runtime.StartThread("terminator", [raw_solution, clients] {
-      for (RtThread* client : clients) {
-        client->Join();
-      }
-      raw_solution->Shutdown();
-    }));
-    const DetRuntime::RunResult result = runtime.Run();
-    return probe.Finish(result, check);
-  };
+  }
+  if (!stack.result.completed || !report.anomalies.Clean()) {
+    Postmortem postmortem = BuildPostmortem(stack.flight, &stack.detector);
+    report.postmortem_cause = postmortem.cause;
+    report.postmortem = postmortem.ToText();
+    if (replay != nullptr) {
+      replay->postmortem = std::move(postmortem);
+    }
+  }
+  if (replay != nullptr) {
+    replay->events = stack.trace.Events();
+  }
+  return report;
 }
-
-struct SuiteBuilder {
-  int scale = 1;
-  std::vector<ConformanceCase> cases;
-
-  RwWorkloadParams RwParams() const {
-    RwWorkloadParams params;
-    params.ops_per_reader = 3 * scale;
-    params.ops_per_writer = 2 * scale;
-    return params;
-  }
-
-  BufferWorkloadParams BufferParams() const {
-    BufferWorkloadParams params;
-    params.items_per_producer = 4 * scale;
-    return params;
-  }
-
-  void AddRw(Mechanism mechanism, const std::string& problem, const std::string& display,
-             std::function<std::unique_ptr<ReadersWritersIface>(Runtime&)> make,
-             RwPolicy policy, RwStrictness strictness, bool expect_violations = false) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = problem;
-    c.display = display;
-    c.expect_violations = expect_violations;
-    const RwWorkloadParams params = RwParams();
-    c.trial = MakeTrial<ReadersWritersIface>(
-        std::move(make),
-        [params](Runtime& rt, ReadersWritersIface& rw, TraceRecorder& trace) {
-          return SpawnReadersWritersWorkload(rt, rw, trace, params);
-        },
-        [policy, strictness](const std::vector<Event>& events) {
-          return CheckReadersWriters(events, policy, 8, strictness);
-        });
-    cases.push_back(std::move(c));
-  }
-
-  void AddBoundedBuffer(Mechanism mechanism, const std::string& display,
-                        std::function<std::unique_ptr<BoundedBufferIface>(Runtime&)> make,
-                        int capacity) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "bounded-buffer";
-    c.display = display;
-    const BufferWorkloadParams params = BufferParams();
-    c.trial = MakeTrial<BoundedBufferIface>(
-        std::move(make),
-        [params](Runtime& rt, BoundedBufferIface& buffer, TraceRecorder& trace) {
-          return SpawnBoundedBufferWorkload(rt, buffer, trace, params);
-        },
-        [capacity](const std::vector<Event>& events) {
-          return CheckBoundedBuffer(events, capacity);
-        });
-    cases.push_back(std::move(c));
-  }
-
-  void AddOneSlot(Mechanism mechanism, const std::string& display,
-                  std::function<std::unique_ptr<OneSlotBufferIface>(Runtime&)> make) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "one-slot-buffer";
-    c.display = display;
-    const BufferWorkloadParams params = BufferParams();
-    c.trial = MakeTrial<OneSlotBufferIface>(
-        std::move(make),
-        [params](Runtime& rt, OneSlotBufferIface& buffer, TraceRecorder& trace) {
-          return SpawnOneSlotBufferWorkload(rt, buffer, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckOneSlotBuffer(events); });
-    cases.push_back(std::move(c));
-  }
-
-  void AddFcfs(Mechanism mechanism, const std::string& display,
-               std::function<std::unique_ptr<FcfsResourceIface>(Runtime&)> make,
-               bool expect_violations = false) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "fcfs-resource";
-    c.display = display;
-    c.expect_violations = expect_violations;
-    FcfsWorkloadParams params;
-    params.ops_per_thread = 3 * scale;
-    c.trial = MakeTrial<FcfsResourceIface>(
-        std::move(make),
-        [params](Runtime& rt, FcfsResourceIface& resource, TraceRecorder& trace) {
-          return SpawnFcfsWorkload(rt, resource, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckFcfsResource(events); });
-    cases.push_back(std::move(c));
-  }
-
-  void AddDisk(Mechanism mechanism, const std::string& problem, const std::string& display,
-               std::function<std::unique_ptr<DiskSchedulerIface>(Runtime&)> make,
-               bool scan) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = problem;
-    c.display = display;
-    DiskWorkloadParams params;
-    params.requests_per_thread = 3 * scale;
-    params.tracks = 100;
-    c.trial = [make = std::move(make), params, scan](std::uint64_t seed) -> TrialReport {
-      DetRuntime runtime(MakeRandomSchedule(seed));
-      TrialProbe probe(runtime);
-      VirtualDisk disk(params.tracks, 0);
-      std::unique_ptr<DiskSchedulerIface> scheduler = make(runtime);
-      DiskWorkloadParams seeded = params;
-      seeded.seed = seed;
-      ThreadList threads = SpawnDiskWorkload(runtime, *scheduler, disk, probe.trace, seeded);
-      const DetRuntime::RunResult result = runtime.Run();
-      return probe.Finish(result, [&disk, scan](const std::vector<Event>& events) {
-        if (disk.violations() != 0) {
-          return std::string("virtual disk observed concurrent access");
-        }
-        return scan ? CheckScanDiskSchedule(events, 0) : CheckFcfsDiskSchedule(events);
-      });
-    };
-    cases.push_back(std::move(c));
-  }
-
-  void AddAlarm(Mechanism mechanism, const std::string& display,
-                std::function<std::unique_ptr<AlarmClockIface>(Runtime&)> make) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "alarm-clock";
-    c.display = display;
-    AlarmWorkloadParams params;
-    params.naps_per_sleeper = 2 * scale;
-    c.trial = MakeTrial<AlarmClockIface>(
-        std::move(make),
-        [params](Runtime& rt, AlarmClockIface& clock, TraceRecorder& trace) {
-          return SpawnAlarmClockWorkload(rt, clock, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckAlarmClock(events, 0); });
-    cases.push_back(std::move(c));
-  }
-
-  void AddSmokers(Mechanism mechanism, const std::string& display,
-                  std::function<std::unique_ptr<SmokersTableIface>(Runtime&)> make,
-                  bool expect_violations = false) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "cigarette-smokers";
-    c.display = display;
-    c.expect_violations = expect_violations;
-    SmokersWorkloadParams params;
-    params.rounds = 5 * scale;
-    c.trial = [make = std::move(make), params](std::uint64_t seed) -> TrialReport {
-      DetRuntime runtime(MakeRandomSchedule(seed));
-      TrialProbe probe(runtime);
-      std::unique_ptr<SmokersTableIface> table = make(runtime);
-      SmokersWorkloadParams seeded = params;
-      seeded.seed = seed;
-      ThreadList threads = SpawnSmokersWorkload(runtime, *table, probe.trace, seeded);
-      const DetRuntime::RunResult result = runtime.Run();
-      return probe.Finish(result,
-                          [](const std::vector<Event>& events) { return CheckSmokers(events); });
-    };
-    cases.push_back(std::move(c));
-  }
-
-  void AddDining(Mechanism mechanism, const std::string& display,
-                 std::function<std::unique_ptr<DiningTableIface>(Runtime&)> make,
-                 bool expect_violations = false) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "dining-philosophers";
-    c.display = display;
-    c.expect_violations = expect_violations;
-    DiningWorkloadParams params;
-    params.meals_per_philosopher = 2 * scale;
-    c.trial = MakeTrial<DiningTableIface>(
-        std::move(make),
-        [params](Runtime& rt, DiningTableIface& table, TraceRecorder& trace) {
-          return SpawnDiningWorkload(rt, table, trace, params);
-        },
-        [](const std::vector<Event>& events) {
-          return CheckDiningPhilosophers(events, 5);
-        });
-    cases.push_back(std::move(c));
-  }
-
-  void AddSjn(Mechanism mechanism, const std::string& display,
-              std::function<std::unique_ptr<SjnAllocatorIface>(Runtime&)> make) {
-    ConformanceCase c;
-    c.mechanism = mechanism;
-    c.problem = "sjn-allocator";
-    c.display = display;
-    SjnWorkloadParams params;
-    params.requests_per_thread = 2 * scale;
-    c.trial = MakeTrial<SjnAllocatorIface>(
-        std::move(make),
-        [params](Runtime& rt, SjnAllocatorIface& allocator, TraceRecorder& trace) {
-          return SpawnSjnWorkload(rt, allocator, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckSjnAllocator(events); });
-    cases.push_back(std::move(c));
-  }
-};
 
 }  // namespace
 
 std::vector<ConformanceCase> BuildConformanceSuite(int workload_scale) {
-  SuiteBuilder b;
-  b.scale = workload_scale;
-
-  // Bounded buffer (capacity 3 everywhere).
-  b.AddBoundedBuffer(Mechanism::kSemaphore, "Dijkstra bounded buffer",
-                     [](Runtime& rt) { return std::make_unique<SemaphoreBoundedBuffer>(rt, 3); },
-                     3);
-  b.AddBoundedBuffer(Mechanism::kMonitor, "Hoare bounded buffer",
-                     [](Runtime& rt) { return std::make_unique<MonitorBoundedBuffer>(rt, 3); },
-                     3);
-  b.AddBoundedBuffer(Mechanism::kPathExpression, "CH74 bounded buffer path",
-                     [](Runtime& rt) { return std::make_unique<PathBoundedBuffer>(rt, 3); }, 3);
-  b.AddBoundedBuffer(
-      Mechanism::kSerializer, "Serializer bounded buffer",
-      [](Runtime& rt) { return std::make_unique<SerializerBoundedBuffer>(rt, 3); }, 3);
-
-  // One-slot buffer.
-  b.AddOneSlot(Mechanism::kSemaphore, "One-slot buffer (semaphores)",
-               [](Runtime& rt) { return std::make_unique<SemaphoreOneSlotBuffer>(rt); });
-  b.AddOneSlot(Mechanism::kMonitor, "One-slot buffer (monitor)",
-               [](Runtime& rt) { return std::make_unique<MonitorOneSlotBuffer>(rt); });
-  b.AddOneSlot(Mechanism::kPathExpression, "path deposit; remove end",
-               [](Runtime& rt) { return std::make_unique<PathOneSlotBuffer>(rt); });
-  b.AddOneSlot(Mechanism::kSerializer, "One-slot buffer (serializer)",
-               [](Runtime& rt) { return std::make_unique<SerializerOneSlotBuffer>(rt); });
-
-  // Readers priority. The CHP semaphore algorithms only deliver their priority with
-  // *strong* semaphores; under our weak semaphores and adversarial schedules the
-  // priority is violated on some schedules — a documented finding, so the suite
-  // expects violations there (the exclusion constraint is separately verified by the
-  // oracle's overlap check on every schedule). Figure 1 is the paper's own predicted
-  // violation, reproduced by the directed footnote-3 scenario.
-  b.AddRw(Mechanism::kSemaphore, "rw-readers-priority",
-          "CHP algorithm 1 (weak semaphores: priority not guaranteed)",
-          [](Runtime& rt) { return std::make_unique<SemaphoreRwReadersPriority>(rt); },
-          RwPolicy::kReadersPriority, RwStrictness::kArrivalOrder,
-          /*expect_violations=*/true);
-  b.AddRw(Mechanism::kMonitor, "rw-readers-priority", "Readers-priority monitor",
-          [](Runtime& rt) { return std::make_unique<MonitorRwReadersPriority>(rt); },
-          RwPolicy::kReadersPriority, RwStrictness::kStrict);
-  {
-    ConformanceCase c;
-    c.mechanism = Mechanism::kPathExpression;
-    c.problem = "rw-readers-priority";
-    c.display = "Figure 1 (predicted violation, footnote 3)";
-    c.expect_violations = true;
-    c.trial = [](std::uint64_t seed) {
-      TrialReport report;
-      report.message = RunFigure1AnomalyScenario(seed);
-      return report;
+  const std::span<const CaseEntry> catalogue = CaseCatalogue();
+  std::vector<ConformanceCase> cases;
+  cases.reserve(catalogue.size());
+  for (const CaseEntry& entry : catalogue) {
+    ConformanceCase& c = cases.emplace_back();
+    c.mechanism = entry.mechanism;
+    c.problem = entry.problem;
+    c.display = entry.display;
+    c.expect_violations = entry.expect_violations;
+    c.trial = [&entry, workload_scale](std::uint64_t seed) {
+      return RunConformanceTrial(entry, workload_scale, seed, nullptr);
     };
-    b.cases.push_back(std::move(c));
-  }
-  b.AddRw(Mechanism::kPathExpression, "rw-readers-priority", "Predicate paths (Andler)",
-          [](Runtime& rt) { return std::make_unique<PathExprRwPredicates>(rt); },
-          RwPolicy::kReadersPriority, RwStrictness::kStrict);
-  b.AddRw(Mechanism::kSerializer, "rw-readers-priority", "Readers-priority serializer",
-          [](Runtime& rt) { return std::make_unique<SerializerRwReadersPriority>(rt); },
-          RwPolicy::kReadersPriority, RwStrictness::kStrict);
-
-  // Writers priority. Figure 2's admission spans several path operations, so the
-  // arrival-order oracle is the sound one for it (as for semaphores).
-  b.AddRw(Mechanism::kSemaphore, "rw-writers-priority",
-          "CHP algorithm 2 (weak semaphores: priority not guaranteed)",
-          [](Runtime& rt) { return std::make_unique<SemaphoreRwWritersPriority>(rt); },
-          RwPolicy::kWritersPriority, RwStrictness::kArrivalOrder,
-          /*expect_violations=*/true);
-  b.AddRw(Mechanism::kMonitor, "rw-writers-priority", "Writers-priority monitor",
-          [](Runtime& rt) { return std::make_unique<MonitorRwWritersPriority>(rt); },
-          RwPolicy::kWritersPriority, RwStrictness::kStrict);
-  b.AddRw(Mechanism::kPathExpression, "rw-writers-priority", "Figure 2",
-          [](Runtime& rt) { return std::make_unique<PathExprRwFigure2>(rt); },
-          RwPolicy::kWritersPriority, RwStrictness::kArrivalOrder);
-  b.AddRw(Mechanism::kSerializer, "rw-writers-priority", "Writers-priority serializer",
-          [](Runtime& rt) { return std::make_unique<SerializerRwWritersPriority>(rt); },
-          RwPolicy::kWritersPriority, RwStrictness::kStrict);
-
-  // FCFS readers/writers (the type/time conflict, E5).
-  b.AddRw(Mechanism::kMonitor, "rw-fcfs", "FCFS monitor (two-stage queuing)",
-          [](Runtime& rt) { return std::make_unique<MonitorRwFcfs>(rt); }, RwPolicy::kFcfs,
-          RwStrictness::kStrict);
-  b.AddRw(Mechanism::kSerializer, "rw-fcfs", "FCFS serializer (one queue)",
-          [](Runtime& rt) { return std::make_unique<SerializerRwFcfs>(rt); }, RwPolicy::kFcfs,
-          RwStrictness::kStrict);
-
-  // Fair readers/writers.
-  b.AddRw(Mechanism::kMonitor, "rw-fair", "Fair monitor (Hoare 1974)",
-          [](Runtime& rt) { return std::make_unique<MonitorRwFair>(rt); }, RwPolicy::kFair,
-          RwStrictness::kStrict);
-
-  // FCFS resource.
-  b.AddFcfs(Mechanism::kSemaphore, "Strong semaphore",
-            [](Runtime& rt) { return std::make_unique<SemaphoreFcfsResource>(rt); });
-  b.AddFcfs(Mechanism::kMonitor, "FCFS monitor",
-            [](Runtime& rt) { return std::make_unique<MonitorFcfsResource>(rt); });
-  b.AddFcfs(Mechanism::kPathExpression, "path acquire end (longest-waiting selection)",
-            [](Runtime& rt) { return std::make_unique<PathFcfsResource>(rt); });
-  b.AddFcfs(Mechanism::kPathExpression,
-            "path acquire end (arbitrary selection — predicted violation)",
-            [](Runtime& rt) {
-              PathController::Options options;
-              options.policy = PathController::SelectionPolicy::kArbitrary;
-              options.arbitrary_seed = 99;
-              return std::make_unique<PathFcfsResource>(rt, options);
-            },
-            /*expect_violations=*/true);
-  b.AddFcfs(Mechanism::kSerializer, "FCFS serializer",
-            [](Runtime& rt) { return std::make_unique<SerializerFcfsResource>(rt); });
-
-  // Disk scheduler.
-  b.AddDisk(Mechanism::kSemaphore, "disk-scan", "SCAN via private semaphores",
-            [](Runtime& rt) { return std::make_unique<SemaphoreDiskScheduler>(rt, 0); },
-            /*scan=*/true);
-  b.AddDisk(Mechanism::kMonitor, "disk-scan", "Hoare dischead",
-            [](Runtime& rt) { return std::make_unique<MonitorDiskScheduler>(rt, 0); },
-            /*scan=*/true);
-  b.AddDisk(Mechanism::kSerializer, "disk-scan", "SCAN serializer",
-            [](Runtime& rt) { return std::make_unique<SerializerDiskScheduler>(rt, 0); },
-            /*scan=*/true);
-  b.AddDisk(Mechanism::kPathExpression, "disk-fcfs", "path disk end (FCFS only)",
-            [](Runtime& rt) { return std::make_unique<PathDiskFcfs>(rt); },
-            /*scan=*/false);
-
-  // Alarm clock.
-  b.AddAlarm(Mechanism::kSemaphore, "Private-semaphore alarm clock",
-             [](Runtime& rt) { return std::make_unique<SemaphoreAlarmClock>(rt); });
-  b.AddAlarm(Mechanism::kMonitor, "Hoare alarm clock",
-             [](Runtime& rt) { return std::make_unique<MonitorAlarmClock>(rt); });
-  b.AddAlarm(Mechanism::kSerializer, "Serializer alarm clock",
-             [](Runtime& rt) { return std::make_unique<SerializerAlarmClock>(rt); });
-
-  // Dining philosophers (5 seats). The naive protocol is the classic deadlock: the
-  // deterministic runtime must find it on some schedules.
-  b.AddDining(Mechanism::kSemaphore, "Naive forks (predicted deadlock)",
-              [](Runtime& rt) { return std::make_unique<SemaphoreDiningNaive>(rt, 5); },
-              /*expect_violations=*/true);
-  b.AddDining(Mechanism::kSemaphore, "Ordered forks",
-              [](Runtime& rt) { return std::make_unique<SemaphoreDiningOrdered>(rt, 5); });
-  b.AddDining(Mechanism::kSemaphore, "Dijkstra's butler",
-              [](Runtime& rt) { return std::make_unique<SemaphoreDiningButler>(rt, 5); });
-  b.AddDining(Mechanism::kMonitor, "Dijkstra state monitor",
-              [](Runtime& rt) { return std::make_unique<MonitorDining>(rt, 5); });
-  b.AddDining(Mechanism::kSerializer, "Serializer (neighbour guards)",
-              [](Runtime& rt) { return std::make_unique<SerializerDining>(rt, 5); });
-  b.AddDining(Mechanism::kPathExpression, "One path per fork (atomic prologues)",
-              [](Runtime& rt) { return std::make_unique<PathDining>(rt, 5); });
-
-  // SJN allocator.
-  b.AddSjn(Mechanism::kSemaphore, "Private-semaphore SJN",
-           [](Runtime& rt) { return std::make_unique<SemaphoreSjnAllocator>(rt); });
-  b.AddSjn(Mechanism::kMonitor, "Hoare scheduled-wait SJN",
-           [](Runtime& rt) { return std::make_unique<MonitorSjnAllocator>(rt); });
-  b.AddSjn(Mechanism::kSerializer, "Serializer SJN",
-           [](Runtime& rt) { return std::make_unique<SerializerSjnAllocator>(rt); });
-
-  // Conditional critical regions: the methodology applied to a mechanism the paper
-  // never evaluated (DESIGN.md extension).
-  b.AddBoundedBuffer(Mechanism::kConditionalRegion, "region when count < N",
-                     [](Runtime& rt) { return std::make_unique<CcrBoundedBuffer>(rt, 3); },
-                     3);
-  b.AddOneSlot(Mechanism::kConditionalRegion, "region when has_item flips",
-               [](Runtime& rt) { return std::make_unique<CcrOneSlotBuffer>(rt); });
-  b.AddRw(Mechanism::kConditionalRegion, "rw-readers-priority",
-          "CCR readers priority (pending counter)",
-          [](Runtime& rt) { return std::make_unique<CcrRwReadersPriority>(rt); },
-          RwPolicy::kReadersPriority, RwStrictness::kStrict);
-  b.AddRw(Mechanism::kConditionalRegion, "rw-writers-priority",
-          "CCR writers priority (pending counter)",
-          [](Runtime& rt) { return std::make_unique<CcrRwWritersPriority>(rt); },
-          RwPolicy::kWritersPriority, RwStrictness::kStrict);
-  b.AddFcfs(Mechanism::kConditionalRegion, "CCR FCFS (tickets)",
-            [](Runtime& rt) { return std::make_unique<CcrFcfsResource>(rt); });
-  b.AddDisk(Mechanism::kConditionalRegion, "disk-scan", "CCR SCAN (pending list)",
-            [](Runtime& rt) { return std::make_unique<CcrDiskScheduler>(rt, 0); },
-            /*scan=*/true);
-  b.AddAlarm(Mechanism::kConditionalRegion, "region when now >= due",
-             [](Runtime& rt) { return std::make_unique<CcrAlarmClock>(rt); });
-  b.AddSjn(Mechanism::kConditionalRegion, "CCR SJN (pending estimates)",
-           [](Runtime& rt) { return std::make_unique<CcrSjnAllocator>(rt); });
-  b.AddDining(Mechanism::kConditionalRegion, "region when neighbours not eating",
-              [](Runtime& rt) { return std::make_unique<CcrDining>(rt, 5); });
-
-  // Cigarette smokers (Patil 1971 — the semaphore expressive-power argument). The
-  // naive ingredient-semaphore protocol is predicted to deadlock.
-  b.AddSmokers(Mechanism::kSemaphore,
-               "Patil's ingredient semaphores (predicted deadlock)",
-               [](Runtime& rt) { return std::make_unique<SemaphoreSmokersNaive>(rt); },
-               /*expect_violations=*/true);
-  b.AddSmokers(Mechanism::kSemaphore, "Agent-decides semaphores",
-               [](Runtime& rt) { return std::make_unique<SemaphoreSmokersAgentKnows>(rt); });
-  b.AddSmokers(Mechanism::kMonitor, "Monitor smokers",
-               [](Runtime& rt) { return std::make_unique<MonitorSmokers>(rt); });
-  b.AddSmokers(Mechanism::kConditionalRegion, "region when table = holding",
-               [](Runtime& rt) { return std::make_unique<CcrSmokers>(rt); });
-
-  // CSP message passing (Section 6 future work): server-process solutions, stopped by
-  // a terminator thread once the clients finish.
-  {
-    const BufferWorkloadParams params = b.BufferParams();
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "bounded-buffer";
-    c.display = "CSP buffer process";
-    c.trial = MakeCspTrial<CspBoundedBuffer>(
-        [](Runtime& rt) { return std::make_unique<CspBoundedBuffer>(rt, 3); },
-        [params](Runtime& rt, CspBoundedBuffer& buffer, TraceRecorder& trace) {
-          return SpawnBoundedBufferWorkload(rt, buffer, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckBoundedBuffer(events, 3); });
-    b.cases.push_back(std::move(c));
-  }
-  {
-    const BufferWorkloadParams params = b.BufferParams();
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "one-slot-buffer";
-    c.display = "CSP alternating server";
-    c.trial = MakeCspTrial<CspOneSlotBuffer>(
-        [](Runtime& rt) { return std::make_unique<CspOneSlotBuffer>(rt); },
-        [params](Runtime& rt, CspOneSlotBuffer& buffer, TraceRecorder& trace) {
-          return SpawnOneSlotBufferWorkload(rt, buffer, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckOneSlotBuffer(events); });
-    b.cases.push_back(std::move(c));
-  }
-  for (const bool readers_first : {true, false}) {
-    const RwWorkloadParams params = b.RwParams();
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = readers_first ? "rw-readers-priority" : "rw-writers-priority";
-    c.display = readers_first ? "CSP server (read arm first)"
-                              : "CSP server (write arm first + waiting guard)";
-    const RwPolicy policy =
-        readers_first ? RwPolicy::kReadersPriority : RwPolicy::kWritersPriority;
-    const CspReadersWriters::Policy server_policy =
-        readers_first ? CspReadersWriters::Policy::kReadersPriority
-                      : CspReadersWriters::Policy::kWritersPriority;
-    c.trial = MakeCspTrial<CspReadersWriters>(
-        [server_policy](Runtime& rt) {
-          return std::make_unique<CspReadersWriters>(rt, server_policy);
-        },
-        [params](Runtime& rt, CspReadersWriters& rw, TraceRecorder& trace) {
-          return SpawnReadersWritersWorkload(rt, rw, trace, params);
-        },
-        [policy](const std::vector<Event>& events) {
-          return CheckReadersWriters(events, policy, 8, RwStrictness::kStrict);
-        });
-    b.cases.push_back(std::move(c));
-  }
-  {
-    FcfsWorkloadParams params;
-    params.ops_per_thread = 3 * workload_scale;
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "fcfs-resource";
-    c.display = "CSP server (channel order)";
-    c.trial = MakeCspTrial<CspFcfsResource>(
-        [](Runtime& rt) { return std::make_unique<CspFcfsResource>(rt); },
-        [params](Runtime& rt, CspFcfsResource& resource, TraceRecorder& trace) {
-          return SpawnFcfsWorkload(rt, resource, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckFcfsResource(events); });
-    b.cases.push_back(std::move(c));
-  }
-  {
-    DiskWorkloadParams params;
-    params.requests_per_thread = 3 * workload_scale;
-    params.tracks = 100;
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "disk-scan";
-    c.display = "CSP disk server";
-    c.trial = [params](std::uint64_t seed) -> TrialReport {
-      DetRuntime runtime(MakeRandomSchedule(seed));
-      TrialProbe probe(runtime);
-      VirtualDisk disk(params.tracks, 0);
-      CspDiskScheduler scheduler(runtime, 0);
-      DiskWorkloadParams seeded = params;
-      seeded.seed = seed;
-      ThreadList threads = SpawnDiskWorkload(runtime, scheduler, disk, probe.trace, seeded);
-      std::vector<RtThread*> clients;
-      for (auto& thread : threads) {
-        clients.push_back(thread.get());
-      }
-      ThreadList terminator;
-      terminator.push_back(runtime.StartThread("terminator", [&scheduler, clients] {
-        for (RtThread* client : clients) {
-          client->Join();
-        }
-        scheduler.Shutdown();
-      }));
-      const DetRuntime::RunResult result = runtime.Run();
-      return probe.Finish(result, [&disk](const std::vector<Event>& events) {
-        if (disk.violations() != 0) {
-          return std::string("virtual disk observed concurrent access");
-        }
-        return CheckScanDiskSchedule(events, 0);
-      });
+    c.replay = [&entry, workload_scale](std::uint64_t seed) {
+      ConformanceReplay replay;
+      replay.report = RunConformanceTrial(entry, workload_scale, seed, &replay);
+      return replay;
     };
-    b.cases.push_back(std::move(c));
   }
-  {
-    AlarmWorkloadParams params;
-    params.naps_per_sleeper = 2 * workload_scale;
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "alarm-clock";
-    c.display = "CSP clock server";
-    c.trial = MakeCspTrial<CspAlarmClock>(
-        [](Runtime& rt) { return std::make_unique<CspAlarmClock>(rt); },
-        [params](Runtime& rt, CspAlarmClock& clock, TraceRecorder& trace) {
-          return SpawnAlarmClockWorkload(rt, clock, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckAlarmClock(events, 0); });
-    b.cases.push_back(std::move(c));
-  }
-  {
-    SjnWorkloadParams params;
-    params.requests_per_thread = 2 * workload_scale;
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "sjn-allocator";
-    c.display = "CSP allocator server";
-    c.trial = MakeCspTrial<CspSjnAllocator>(
-        [](Runtime& rt) { return std::make_unique<CspSjnAllocator>(rt); },
-        [params](Runtime& rt, CspSjnAllocator& allocator, TraceRecorder& trace) {
-          return SpawnSjnWorkload(rt, allocator, trace, params);
-        },
-        [](const std::vector<Event>& events) { return CheckSjnAllocator(events); });
-    b.cases.push_back(std::move(c));
-  }
-  {
-    DiningWorkloadParams params;
-    params.meals_per_philosopher = 2 * workload_scale;
-    ConformanceCase c;
-    c.mechanism = Mechanism::kMessagePassing;
-    c.problem = "dining-philosophers";
-    c.display = "CSP table server";
-    c.trial = MakeCspTrial<CspDining>(
-        [](Runtime& rt) { return std::make_unique<CspDining>(rt, 5); },
-        [params](Runtime& rt, CspDining& table, TraceRecorder& trace) {
-          return SpawnDiningWorkload(rt, table, trace, params);
-        },
-        [](const std::vector<Event>& events) {
-          return CheckDiningPhilosophers(events, 5);
-        });
-    b.cases.push_back(std::move(c));
-  }
-
-  return b.cases;
+  return cases;
 }
 
 std::string RunFigure1AnomalyScenario(std::uint64_t seed) {
@@ -734,16 +128,7 @@ std::string RunFigure1AnomalyScenario(std::uint64_t seed) {
 
 ConformanceReplay ReplayConformanceTrial(const ConformanceCase& conformance_case,
                                          std::uint64_t seed) {
-  TrialCapture capture;
-  g_trial_capture = &capture;
-  struct Reset {
-    ~Reset() { g_trial_capture = nullptr; }
-  } reset;
-  ConformanceReplay replay;
-  replay.report = conformance_case.trial(seed);
-  replay.events = std::move(capture.events);
-  replay.postmortem = std::move(capture.postmortem);
-  return replay;
+  return conformance_case.replay(seed);
 }
 
 ConformanceResult RunConformanceCase(const ConformanceCase& conformance_case, int seeds,

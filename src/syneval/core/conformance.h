@@ -22,6 +22,16 @@
 
 namespace syneval {
 
+// One conformance trial re-run with full observability retained: the logical trace
+// (for Perfetto export) and the structured postmortem (empty() when the trial was
+// clean). Sweeps keep only the TrialReport; replay is for --trace exports and the
+// postmortem CLI.
+struct ConformanceReplay {
+  TrialReport report;
+  std::vector<Event> events;
+  Postmortem postmortem;
+};
+
 struct ConformanceCase {
   Mechanism mechanism = Mechanism::kSemaphore;
   std::string problem;
@@ -32,10 +42,13 @@ struct ConformanceCase {
   // whose message is empty on success and an oracle/runtime diagnostic on failure,
   // plus the anomaly counts observed by the attached detector.
   std::function<TrialReport(std::uint64_t)> trial;
+  // The same run as `trial`, returning the full capture.
+  std::function<ConformanceReplay(std::uint64_t)> replay;
 };
 
-// The full conformance suite over the solution matrix. `workload_scale` multiplies the
-// per-thread operation counts (1 = quick test size).
+// The full conformance suite: one case per entry of the case catalogue
+// (solutions/cases.h), in its order. `workload_scale` multiplies the per-thread
+// operation counts (1 = quick test size).
 std::vector<ConformanceCase> BuildConformanceSuite(int workload_scale = 1);
 
 struct ConformanceResult {
@@ -58,16 +71,7 @@ ConformanceResult RunConformanceCase(const ConformanceCase& conformance_case, in
 std::vector<ConformanceResult> RunConformanceSuite(int seeds, int workload_scale = 1,
                                                    const ParallelOptions& parallel = {});
 
-// One conformance trial re-run with full observability retained: the logical trace
-// (for Perfetto export) and the structured postmortem (empty() when the trial was
-// clean). Sweeps keep only the TrialReport; replay is for --trace exports and the
-// postmortem CLI.
-struct ConformanceReplay {
-  TrialReport report;
-  std::vector<Event> events;
-  Postmortem postmortem;
-};
-
+// Runs the case's replay: its trial at `seed` with the trace and postmortem kept.
 ConformanceReplay ReplayConformanceTrial(const ConformanceCase& conformance_case,
                                          std::uint64_t seed);
 

@@ -1,27 +1,16 @@
 #include "syneval/fault/chaos.h"
 
+#include <cassert>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
 
-#include "syneval/anomaly/detector.h"
-#include "syneval/fault/injector.h"
-#include "syneval/telemetry/flight_recorder.h"
-#include "syneval/telemetry/metrics.h"
-#include "syneval/telemetry/postmortem.h"
-#include "syneval/problems/oracles.h"
-#include "syneval/problems/virtual_disk.h"
-#include "syneval/problems/workloads.h"
 #include "syneval/runtime/checkpoint.h"
-#include "syneval/runtime/det_runtime.h"
-#include "syneval/solutions/ccr_solutions.h"
-#include "syneval/solutions/monitor_solutions.h"
-#include "syneval/solutions/semaphore_solutions.h"
-#include "syneval/solutions/serializer_solutions.h"
-#include "syneval/trace/recorder.h"
+#include "syneval/telemetry/metrics.h"
 
 namespace syneval {
 
@@ -63,213 +52,96 @@ FaultPlan SeededPlan(const FaultPlan& plan, std::uint64_t schedule_seed) {
   return seeded;
 }
 
-// One chaos trial's stack: detector, trace, flight recorder, the injector when a plan
-// is given, the runtime, and the supervision seam. The attachments are declared before
-// the runtime so they outlive it (runtime.h). Mirrors conformance's TrialProbe with the
-// fault seam added.
-struct ChaosStack {
-  ChaosStack(std::uint64_t seed, const FaultPlan* plan)
-      : runtime(MakeRandomSchedule(seed), ChaosOptions()) {
-    detector.AttachTrace(&trace);
-    trace.SetObserver(&detector);
-    trace.SetSecondaryObserver(&flight);
-    runtime.AttachAnomalyDetector(&detector);
-    runtime.AttachFlightRecorder(&flight);
-    if (plan != nullptr) {
-      injector.emplace(SeededPlan(*plan, seed));
-      runtime.AttachFaultInjector(&*injector);
-    }
-    // Supervision seam, registered once the stack is wired: the runtime's abort goes
-    // to the thread's installed TrialAbortSlot (a no-op on unsupervised runs — see
-    // runtime/supervisor.h). The abort path diagnoses and tears down through Run(), so
-    // Finish sees a normal aborted result.
-    abort_scope.emplace([this] { runtime.RequestAbort(); },
-                        [this] { return ObservePostmortem(flight, detector); });
+// The chaos fold of one run: injector counts, hang and oracle verdicts, and the
+// postmortem of any run that hung, failed its oracle or drew a detector finding.
+// `replay`, when given, also keeps the trace and the structured postmortem.
+ChaosTrialOutcome RunChaosTrial(const CaseEntry& entry, int workload_scale,
+                                std::uint64_t seed, const FaultPlan* plan,
+                                ChaosReplayResult* replay) {
+  TrialStack stack(seed, plan, ChaosOptions(), ChaosFlightOptions());
+  stack.Run(entry, seed, workload_scale);
+  const DetRuntime::RunResult& result = stack.result;
+  ChaosTrialOutcome out;
+  out.completed = result.completed;
+  // A supervisor-aborted run is a hang for calibration purposes: the reaper only
+  // fires past the wall-clock deadline, and routing the reap through the normal
+  // result keeps its injector counts and diagnosis in the fold — a reaped genuine
+  // hang still counts toward recall instead of vanishing.
+  out.hung = result.deadlocked || result.step_limit || result.aborted;
+  out.steps = result.steps;
+  out.anomalies = stack.detector.counts().total();
+  out.flight_evicted = stack.flight.evicted();
+  if (stack.injector.has_value()) {
+    out.injected = stack.injector->injected_count();
+    out.first_injection_step = stack.injector->first_injection_nanos() / 1000;
   }
-
-  // Folds the run and the oracle verdict ("" unless the run completed) into the
-  // trial's outcome, with the full capture kept for replay.
-  ChaosReplayResult Finish(const DetRuntime::RunResult& result,
-                           const std::string& oracle_verdict) {
-    ChaosReplayResult replay;
-    ChaosTrialOutcome& out = replay.outcome;
-    out.completed = result.completed;
-    // A supervisor-aborted run is a hang for calibration purposes: the reaper only
-    // fires past the wall-clock deadline, and routing the reap through the normal
-    // result keeps its injector counts and diagnosis in the fold — a reaped genuine
-    // hang still counts toward recall instead of vanishing.
-    out.hung = result.deadlocked || result.step_limit || result.aborted;
-    out.steps = result.steps;
-    out.anomalies = detector.counts().total();
-    out.flight_evicted = flight.evicted();
-    if (injector.has_value()) {
-      out.injected = injector->injected_count();
-      out.first_injection_step = injector->first_injection_nanos() / 1000;
-    }
-    if (result.completed) {
-      out.oracle_failed = !oracle_verdict.empty();
-      out.report = oracle_verdict;
-    } else {
-      out.report = result.report;
-    }
-    if (out.hung || out.oracle_failed || out.anomalies > 0) {
-      replay.postmortem = BuildPostmortem(flight, &detector);
-      out.postmortem_cause = replay.postmortem.cause;
-      out.postmortem = replay.postmortem.ToText();
-    }
-    replay.events = trace.Events();
-    return replay;
+  if (result.completed) {
+    out.oracle_failed = !stack.verdict.empty();
+    out.report = stack.verdict;
+  } else {
+    out.report = result.report;
   }
-
-  AnomalyDetector detector;
-  TraceRecorder trace;
-  FlightRecorder flight{ChaosFlightOptions()};
-  std::optional<FaultInjector> injector;
-  DetRuntime runtime;
-  std::optional<TrialAbortScope> abort_scope;
-};
-
-// Builds a ChaosCase from its rich replay function; the sweep-facing trial is the same
-// run with the event capture discarded.
-ChaosCase MakeCase(Mechanism mechanism, std::string problem, std::string display,
-                   ChaosReplayFn replay) {
-  ChaosCase chaos_case;
-  chaos_case.mechanism = mechanism;
-  chaos_case.problem = std::move(problem);
-  chaos_case.display = std::move(display);
-  chaos_case.trial = [replay](std::uint64_t seed, const FaultPlan* plan) {
-    return replay(seed, plan).outcome;
-  };
-  chaos_case.replay = std::move(replay);
-  return chaos_case;
+  if (out.hung || out.oracle_failed || out.anomalies > 0) {
+    Postmortem postmortem = BuildPostmortem(stack.flight, &stack.detector);
+    out.postmortem_cause = postmortem.cause;
+    out.postmortem = postmortem.ToText();
+    if (replay != nullptr) {
+      replay->postmortem = std::move(postmortem);
+    }
+  }
+  if (replay != nullptr) {
+    replay->events = stack.trace.Events();
+  }
+  return out;
 }
 
-// Generic chaos trial: fresh stack, solution, workload, run, oracle.
-template <typename SolutionT>
-ChaosReplayFn MakeChaosTrial(
-    std::function<std::unique_ptr<SolutionT>(Runtime&)> make,
-    std::function<ThreadList(Runtime&, SolutionT&, TraceRecorder&)> spawn,
-    std::function<std::string(const std::vector<Event>&)> check) {
-  return [make = std::move(make), spawn = std::move(spawn), check = std::move(check)](
-             std::uint64_t seed, const FaultPlan* plan) -> ChaosReplayResult {
-    ChaosStack stack(seed, plan);
-    std::unique_ptr<SolutionT> solution = make(stack.runtime);
-    ThreadList threads = spawn(stack.runtime, *solution, stack.trace);
-    const DetRuntime::RunResult result = stack.runtime.Run();
-    return stack.Finish(result,
-                        result.completed ? check(stack.trace.Events()) : std::string());
-  };
-}
-
-struct ChaosSuiteBuilder {
-  int scale = 1;
-  std::vector<ChaosCase> cases;
-
-  void AddBoundedBuffer(Mechanism mechanism, const std::string& display,
-                        std::function<std::unique_ptr<BoundedBufferIface>(Runtime&)> make,
-                        int capacity) {
-    BufferWorkloadParams params;
-    params.items_per_producer = 4 * scale;
-    cases.push_back(MakeCase(
-        mechanism, "bounded-buffer", display,
-        MakeChaosTrial<BoundedBufferIface>(
-            std::move(make),
-            [params](Runtime& rt, BoundedBufferIface& buffer, TraceRecorder& trace) {
-              return SpawnBoundedBufferWorkload(rt, buffer, trace, params);
-            },
-            [capacity](const std::vector<Event>& events) {
-              return CheckBoundedBuffer(events, capacity);
-            })));
-  }
-
-  void AddOneSlot(Mechanism mechanism, const std::string& display,
-                  std::function<std::unique_ptr<OneSlotBufferIface>(Runtime&)> make) {
-    BufferWorkloadParams params;
-    params.items_per_producer = 4 * scale;
-    cases.push_back(MakeCase(
-        mechanism, "one-slot-buffer", display,
-        MakeChaosTrial<OneSlotBufferIface>(
-            std::move(make),
-            [params](Runtime& rt, OneSlotBufferIface& buffer, TraceRecorder& trace) {
-              return SpawnOneSlotBufferWorkload(rt, buffer, trace, params);
-            },
-            [](const std::vector<Event>& events) { return CheckOneSlotBuffer(events); })));
-  }
-
-  void AddRw(Mechanism mechanism, const std::string& display,
-             std::function<std::unique_ptr<ReadersWritersIface>(Runtime&)> make) {
-    RwWorkloadParams params;
-    params.ops_per_reader = 3 * scale;
-    params.ops_per_writer = 2 * scale;
-    cases.push_back(MakeCase(
-        mechanism, "rw-readers-priority", display,
-        MakeChaosTrial<ReadersWritersIface>(
-            std::move(make),
-            [params](Runtime& rt, ReadersWritersIface& rw, TraceRecorder& trace) {
-              return SpawnReadersWritersWorkload(rt, rw, trace, params);
-            },
-            [](const std::vector<Event>& events) {
-              return CheckReadersWriters(events, RwPolicy::kReadersPriority, 8,
-                                         RwStrictness::kStrict);
-            })));
-  }
-
-  void AddFcfs(Mechanism mechanism, const std::string& display,
-               std::function<std::unique_ptr<FcfsResourceIface>(Runtime&)> make) {
-    FcfsWorkloadParams params;
-    params.ops_per_thread = 3 * scale;
-    cases.push_back(MakeCase(
-        mechanism, "fcfs-resource", display,
-        MakeChaosTrial<FcfsResourceIface>(
-            std::move(make),
-            [params](Runtime& rt, FcfsResourceIface& resource, TraceRecorder& trace) {
-              return SpawnFcfsWorkload(rt, resource, trace, params);
-            },
-            [](const std::vector<Event>& events) { return CheckFcfsResource(events); })));
-  }
-
-  void AddDiskScan(Mechanism mechanism, const std::string& display,
-                   std::function<std::unique_ptr<DiskSchedulerIface>(Runtime&)> make) {
-    DiskWorkloadParams params;
-    params.requests_per_thread = 3 * scale;
-    params.tracks = 100;
-    ChaosReplayFn replay = [make = std::move(make), params](
-                               std::uint64_t seed,
-                               const FaultPlan* plan) -> ChaosReplayResult {
-      ChaosStack stack(seed, plan);
-      VirtualDisk disk(params.tracks, 0);
-      std::unique_ptr<DiskSchedulerIface> scheduler = make(stack.runtime);
-      DiskWorkloadParams seeded = params;
-      seeded.seed = seed;
-      ThreadList threads =
-          SpawnDiskWorkload(stack.runtime, *scheduler, disk, stack.trace, seeded);
-      const DetRuntime::RunResult result = stack.runtime.Run();
-      std::string verdict;
-      if (result.completed) {
-        verdict = disk.violations() != 0 ? "virtual disk observed concurrent access"
-                                         : CheckScanDiskSchedule(stack.trace.Events(), 0);
-      }
-      return stack.Finish(result, verdict);
-    };
-    cases.push_back(MakeCase(mechanism, "disk-scan", display, std::move(replay)));
-  }
-
-  void AddAlarm(Mechanism mechanism, const std::string& display,
-                std::function<std::unique_ptr<AlarmClockIface>(Runtime&)> make) {
-    AlarmWorkloadParams params;
-    params.naps_per_sleeper = 2 * scale;
-    cases.push_back(MakeCase(
-        mechanism, "alarm-clock", display,
-        MakeChaosTrial<AlarmClockIface>(
-            std::move(make),
-            [params](Runtime& rt, AlarmClockIface& clock, TraceRecorder& trace) {
-              return SpawnAlarmClockWorkload(rt, clock, trace, params);
-            },
-            [](const std::vector<Event>& events) { return CheckAlarmClock(events, 0); })));
-  }
+// The calibration's cases, in its row order: per problem, two mechanism families that
+// are anomaly-clean on fault-off sweeps. Readers priority uses the monitor and the
+// serializer, because the semaphore variants violate priority by design under weak
+// semaphores (expect_violations in the conformance suite).
+constexpr std::pair<Mechanism, const char*> kChaosCases[] = {
+    {Mechanism::kSemaphore, "Dijkstra bounded buffer"},
+    {Mechanism::kMonitor, "Hoare bounded buffer"},
+    {Mechanism::kSemaphore, "One-slot buffer (semaphores)"},
+    {Mechanism::kConditionalRegion, "region when has_item flips"},
+    {Mechanism::kMonitor, "Readers-priority monitor"},
+    {Mechanism::kSerializer, "Readers-priority serializer"},
+    {Mechanism::kSemaphore, "Strong semaphore"},
+    {Mechanism::kSerializer, "FCFS serializer"},
+    {Mechanism::kMonitor, "Hoare dischead"},
+    {Mechanism::kSerializer, "SCAN serializer"},
+    {Mechanism::kSemaphore, "Private-semaphore alarm clock"},
+    {Mechanism::kMonitor, "Hoare alarm clock"},
 };
 
 }  // namespace
+
+TrialStack::TrialStack(std::uint64_t seed, const FaultPlan* plan,
+                       const DetRuntime::Options& runtime_options,
+                       const FlightRecorder::Options& flight_options)
+    : flight(flight_options), runtime(MakeRandomSchedule(seed), runtime_options) {
+  detector.AttachTrace(&trace);
+  trace.SetObserver(&detector);
+  trace.SetSecondaryObserver(&flight);
+  runtime.AttachAnomalyDetector(&detector);
+  runtime.AttachFlightRecorder(&flight);
+  if (plan != nullptr) {
+    injector.emplace(SeededPlan(*plan, seed));
+    runtime.AttachFaultInjector(&*injector);
+  }
+  // The abort path diagnoses and tears down through Run(), so the fold sees a normal
+  // aborted result.
+  abort_scope.emplace([this] { runtime.RequestAbort(); },
+                      [this] { return ObservePostmortem(flight, detector); });
+}
+
+void TrialStack::Run(const CaseEntry& entry, std::uint64_t seed, int workload_scale) {
+  oracle = entry.body(runtime, trace, seed, workload_scale);
+  result = runtime.Run();
+  if (result.completed) {
+    verdict = oracle(trace.Events());
+  }
+}
 
 // ---- Supervised chaos trials --------------------------------------------------------
 
@@ -314,45 +186,25 @@ ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& s
 }  // namespace chaos_internal
 
 std::vector<ChaosCase> BuildChaosSuite(int workload_scale) {
-  ChaosSuiteBuilder b;
-  b.scale = workload_scale;
-
-  b.AddBoundedBuffer(Mechanism::kSemaphore, "Dijkstra bounded buffer",
-                     [](Runtime& rt) { return std::make_unique<SemaphoreBoundedBuffer>(rt, 3); },
-                     3);
-  b.AddBoundedBuffer(Mechanism::kMonitor, "Hoare bounded buffer",
-                     [](Runtime& rt) { return std::make_unique<MonitorBoundedBuffer>(rt, 3); },
-                     3);
-
-  b.AddOneSlot(Mechanism::kSemaphore, "One-slot buffer (semaphores)",
-               [](Runtime& rt) { return std::make_unique<SemaphoreOneSlotBuffer>(rt); });
-  b.AddOneSlot(Mechanism::kConditionalRegion, "region when has_item flips",
-               [](Runtime& rt) { return std::make_unique<CcrOneSlotBuffer>(rt); });
-
-  // Readers priority: the semaphore variants violate priority by design under weak
-  // semaphores (expect_violations in the conformance suite), so the clean monitor and
-  // serializer solutions carry the calibration here.
-  b.AddRw(Mechanism::kMonitor, "Readers-priority monitor",
-          [](Runtime& rt) { return std::make_unique<MonitorRwReadersPriority>(rt); });
-  b.AddRw(Mechanism::kSerializer, "Readers-priority serializer",
-          [](Runtime& rt) { return std::make_unique<SerializerRwReadersPriority>(rt); });
-
-  b.AddFcfs(Mechanism::kSemaphore, "Strong semaphore",
-            [](Runtime& rt) { return std::make_unique<SemaphoreFcfsResource>(rt); });
-  b.AddFcfs(Mechanism::kSerializer, "FCFS serializer",
-            [](Runtime& rt) { return std::make_unique<SerializerFcfsResource>(rt); });
-
-  b.AddDiskScan(Mechanism::kMonitor, "Hoare dischead",
-                [](Runtime& rt) { return std::make_unique<MonitorDiskScheduler>(rt, 0); });
-  b.AddDiskScan(Mechanism::kSerializer, "SCAN serializer",
-                [](Runtime& rt) { return std::make_unique<SerializerDiskScheduler>(rt, 0); });
-
-  b.AddAlarm(Mechanism::kSemaphore, "Private-semaphore alarm clock",
-             [](Runtime& rt) { return std::make_unique<SemaphoreAlarmClock>(rt); });
-  b.AddAlarm(Mechanism::kMonitor, "Hoare alarm clock",
-             [](Runtime& rt) { return std::make_unique<MonitorAlarmClock>(rt); });
-
-  return b.cases;
+  std::vector<ChaosCase> cases;
+  cases.reserve(std::size(kChaosCases));
+  for (const auto& [mechanism, display] : kChaosCases) {
+    const CaseEntry* entry = FindCase(mechanism, display);
+    assert(entry != nullptr && entry->body != nullptr);
+    ChaosCase& chaos_case = cases.emplace_back();
+    chaos_case.mechanism = mechanism;
+    chaos_case.problem = entry->problem;
+    chaos_case.display = display;
+    chaos_case.trial = [entry, workload_scale](std::uint64_t seed, const FaultPlan* plan) {
+      return RunChaosTrial(*entry, workload_scale, seed, plan, nullptr);
+    };
+    chaos_case.replay = [entry, workload_scale](std::uint64_t seed, const FaultPlan* plan) {
+      ChaosReplayResult replay;
+      replay.outcome = RunChaosTrial(*entry, workload_scale, seed, plan, &replay);
+      return replay;
+    };
+  }
+  return cases;
 }
 
 std::vector<ChaosFaultFamily> CalibrationFaultFamilies() {

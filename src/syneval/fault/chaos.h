@@ -27,15 +27,54 @@
 #include <string>
 #include <vector>
 
+#include "syneval/anomaly/detector.h"
 #include "syneval/fault/fault.h"
+#include "syneval/fault/injector.h"
+#include "syneval/runtime/det_runtime.h"
 #include "syneval/runtime/explore.h"
 #include "syneval/runtime/parallel_sweep.h"
 #include "syneval/runtime/supervisor.h"
+#include "syneval/solutions/cases.h"
 #include "syneval/solutions/solution_info.h"
+#include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/postmortem.h"
 #include "syneval/trace/event.h"
+#include "syneval/trace/recorder.h"
 
 namespace syneval {
+
+// One catalogue trial's stack (solutions/cases.h), shared by the conformance suite and
+// the chaos calibration: anomaly detector, trace, flight recorder, a fault injector when
+// a plan is given, the runtime, and the supervision seam. The attachments are declared
+// before the runtime so they outlive it (runtime.h); the case built on the stack is
+// declared last, so its solution and threads go first.
+struct TrialStack {
+  // The plan's injector seed is re-derived from the schedule seed (see
+  // ChaosFaultFamily). The supervision seam registers once the stack is wired: the
+  // runtime's abort goes to the thread's installed TrialAbortSlot, a no-op on
+  // unsupervised runs (runtime/supervisor.h).
+  TrialStack(std::uint64_t seed, const FaultPlan* plan,
+             const DetRuntime::Options& runtime_options,
+             const FlightRecorder::Options& flight_options);
+  // The attachments and the abort callbacks hold this stack's address.
+  TrialStack(const TrialStack&) = delete;
+  TrialStack& operator=(const TrialStack&) = delete;
+
+  // Builds `entry`'s case on the stack and runs it: `result` is the run, and `verdict`
+  // the oracle's judgement of its trace ("" when clean, or when the run never
+  // completed). The case stays alive until the stack goes.
+  void Run(const CaseEntry& entry, std::uint64_t seed, int workload_scale);
+
+  AnomalyDetector detector;
+  TraceRecorder trace;
+  FlightRecorder flight;
+  std::optional<FaultInjector> injector;
+  DetRuntime runtime;
+  std::optional<TrialAbortScope> abort_scope;
+  CaseOracle oracle;
+  DetRuntime::RunResult result;
+  std::string verdict;
+};
 
 // One chaos trial: run the case's workload under DetRuntime with the given seed,
 // attaching a FaultInjector for `plan` when non-null, and report what happened.
@@ -64,7 +103,9 @@ struct ChaosCase {
 
 // The footnote-2 problems, each under (at least) two mechanism families chosen to be
 // anomaly-clean on fault-off sweeps — a case with natural anomalies could not measure
-// a false-positive rate.
+// a false-positive rate. Every case is a conformance case picked from the case
+// catalogue by name, so its fault-off run is the conformance trial's schedule for
+// schedule, under the chaos step budget and ring cap.
 std::vector<ChaosCase> BuildChaosSuite(int workload_scale = 1);
 
 // A named fault plan the calibration applies to every case. The plan's injector seed

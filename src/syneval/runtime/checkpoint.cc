@@ -1,8 +1,11 @@
 #include "syneval/runtime/checkpoint.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -71,21 +74,27 @@ class RecordReader {
     *value = it->second;
     return true;
   }
+  // Out-of-range and malformed numbers are rejected rather than saturated or
+  // narrowed, so the entry decodes as a miss instead of as a different value.
   bool GetInt(const std::string& key, int* value) const {
-    long long parsed = 0;
-    if (!GetLong(key, &parsed)) {
+    const auto it = fields_.find(key);
+    if (it == fields_.end()) {
+      return false;
+    }
+    const std::string& text = it->second;
+    errno = 0;
+    char* end = nullptr;
+    const long long parsed = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
       return false;
     }
     *value = static_cast<int>(parsed);
     return true;
   }
   bool GetU64(const std::string& key, std::uint64_t* value) const {
-    long long parsed = 0;
-    if (!GetLong(key, &parsed)) {
-      return false;
-    }
-    *value = static_cast<std::uint64_t>(parsed);
-    return true;
+    const auto it = fields_.find(key);
+    return it != fields_.end() && ParseU64(it->second, value);
   }
   bool GetSeeds(const std::string& key, std::vector<std::uint64_t>* seeds) const {
     std::string joined;
@@ -99,30 +108,29 @@ class RecordReader {
     std::istringstream in(joined);
     std::string token;
     while (std::getline(in, token, ',')) {
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-      if (end == token.c_str() || *end != '\0') {
+      std::uint64_t seed = 0;
+      if (!ParseU64(token, &seed)) {
         return false;
       }
-      seeds->push_back(static_cast<std::uint64_t>(parsed));
+      seeds->push_back(seed);
     }
     return true;
   }
 
  private:
-  bool GetLong(const std::string& key, long long* value) const {
-    const auto it = fields_.find(key);
-    if (it == fields_.end()) {
+  // Decimal digits only: strtoull would accept a sign (and wrap "-1" to 2^64 - 1) or
+  // leading space.
+  static bool ParseU64(const std::string& text, std::uint64_t* value) {
+    if (text.empty() || text[0] < '0' || text[0] > '9') {
       return false;
     }
     errno = 0;
     char* end = nullptr;
-    const long long parsed = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
+    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE) {
       return false;
     }
-    *value = parsed;
+    *value = static_cast<std::uint64_t>(parsed);
     return true;
   }
 

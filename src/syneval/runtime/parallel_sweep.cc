@@ -1,9 +1,11 @@
 #include "syneval/runtime/parallel_sweep.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -209,9 +211,11 @@ int ResolveJobs(int jobs) {
   }
   if (jobs == 0) {
     if (const char* env = std::getenv("SYNEVAL_JOBS"); env != nullptr && *env != '\0') {
+      errno = 0;
       char* end = nullptr;
-      const long parsed = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && parsed > 0) {
+      const long long parsed = std::strtoll(env, &end, 10);
+      if (end != env && *end == '\0' && errno != ERANGE && parsed > 0 &&
+          parsed <= std::numeric_limits<int>::max()) {
         return static_cast<int>(parsed);
       }
     }

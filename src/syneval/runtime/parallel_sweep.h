@@ -69,6 +69,7 @@ struct ParallelOptions {
 };
 
 // Resolves a --jobs style request: n > 0 is taken literally; 0 consults SYNEVAL_JOBS
+// (a positive decimal int; anything else, including a value past INT_MAX, is ignored)
 // and then hardware_concurrency(); anything else degrades to 1. Always returns >= 1.
 int ResolveJobs(int jobs);
 

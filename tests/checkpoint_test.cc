@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -188,6 +189,98 @@ TEST(CheckpointCodecTest, MalformedPayloadsAreRejected) {
   EXPECT_FALSE(DecodeOutcome(EncodeChaosOutcome(ChaosSweepOutcome{}), &sweep));
   TrialReport report;
   EXPECT_FALSE(DecodeTrialReport("v=sweep1", &report));
+}
+
+TEST(CheckpointCodecTest, ExtremeValuesRoundTripLosslessly) {
+  constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHighBit = std::uint64_t{1} << 63;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr int kMinInt = std::numeric_limits<int>::min();
+
+  SweepOutcome sweep = FullOutcome();
+  sweep.runs = kMaxInt;
+  sweep.failures = kMinInt;
+  sweep.anomalies.deadlocks = kMaxInt;
+  sweep.anomalies.starvations = kMinInt;
+  sweep.failing_seeds = {0, kHighBit, kMaxU64};
+  sweep.postmortems.push_back({kMaxU64, "deadlock", "text"});
+  sweep.flight_evicted = kHighBit;
+  SweepOutcome sweep_back;
+  ASSERT_TRUE(DecodeOutcome(EncodeOutcome(sweep), &sweep_back));
+  EXPECT_EQ(sweep_back.runs, kMaxInt);
+  EXPECT_EQ(sweep_back.failures, kMinInt);
+  EXPECT_EQ(sweep_back.anomalies.deadlocks, kMaxInt);
+  EXPECT_EQ(sweep_back.anomalies.starvations, kMinInt);
+  EXPECT_EQ(sweep_back.failing_seeds, sweep.failing_seeds);
+  ASSERT_EQ(sweep_back.postmortems.size(), sweep.postmortems.size());
+  EXPECT_EQ(sweep_back.postmortems.back().seed, kMaxU64);
+  EXPECT_EQ(sweep_back.flight_evicted, kHighBit);
+
+  ChaosSweepOutcome chaos;
+  chaos.runs = kMaxInt;
+  chaos.harmful = kMinInt;
+  chaos.detection_steps_total = kMaxU64;
+  chaos.missed_seeds = {kMaxU64};
+  chaos.fp_seeds = {kHighBit};
+  chaos.postmortems.push_back({kMaxU64, "lost-signal", "text"});
+  chaos.postmortem_causes = {{"lost-signal", kMaxInt}};
+  chaos.flight_evicted = kHighBit;
+  ChaosSweepOutcome chaos_back;
+  ASSERT_TRUE(DecodeChaosOutcome(EncodeChaosOutcome(chaos), &chaos_back));
+  EXPECT_EQ(chaos_back.runs, kMaxInt);
+  EXPECT_EQ(chaos_back.harmful, kMinInt);
+  EXPECT_EQ(chaos_back.detection_steps_total, kMaxU64);
+  EXPECT_EQ(chaos_back.missed_seeds, chaos.missed_seeds);
+  EXPECT_EQ(chaos_back.fp_seeds, chaos.fp_seeds);
+  ASSERT_EQ(chaos_back.postmortems.size(), 1u);
+  EXPECT_EQ(chaos_back.postmortems[0].seed, kMaxU64);
+  EXPECT_EQ(chaos_back.postmortem_causes, chaos.postmortem_causes);
+  EXPECT_EQ(chaos_back.flight_evicted, kHighBit);
+
+  TrialReport report;
+  report.anomalies.lost_wakeups = kMaxInt;
+  report.anomalies.stuck_waiters = kMinInt;
+  report.flight_evicted = kMaxU64;
+  TrialReport report_back;
+  ASSERT_TRUE(DecodeTrialReport(EncodeTrialReport(report), &report_back));
+  EXPECT_EQ(report_back.anomalies.lost_wakeups, kMaxInt);
+  EXPECT_EQ(report_back.anomalies.stuck_waiters, kMinInt);
+  EXPECT_EQ(report_back.flight_evicted, kMaxU64);
+}
+
+// Replaces the one `field` of an encoded record ("key=value") with `replacement`.
+std::string ReplaceField(std::string payload, const std::string& field,
+                         const std::string& replacement) {
+  const std::size_t at = payload.find(field);
+  EXPECT_NE(at, std::string::npos) << field << " not in " << payload;
+  return at == std::string::npos ? payload : payload.replace(at, field.size(), replacement);
+}
+
+TEST(CheckpointCodecTest, OutOfRangeNumbersAreRejected) {
+  const std::string report = EncodeTrialReport(TrialReport{});
+  TrialReport out;
+  ASSERT_TRUE(DecodeTrialReport(report, &out));
+  // An int field past INT_MAX would narrow (2^32 + 1 -> 1); past LLONG_MAX it would
+  // saturate.
+  EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "a.dl=0", "a.dl=4294967297"), &out));
+  EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "a.dl=0", "a.dl=-2147483649"), &out));
+  EXPECT_FALSE(
+      DecodeTrialReport(ReplaceField(report, "a.dl=0", "a.dl=99999999999999999999"), &out));
+  // A u64 field past 2^64 - 1 would saturate; a sign would wrap.
+  EXPECT_FALSE(
+      DecodeTrialReport(ReplaceField(report, "fev=0", "fev=18446744073709551616"), &out));
+  EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "fev=0", "fev=-1"), &out));
+  EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "fev=0", "fev=+1"), &out));
+  EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "fev=0", "fev= 1"), &out));
+
+  SweepOutcome sweep;
+  sweep.failing_seeds = {5};
+  const std::string encoded = EncodeOutcome(sweep);
+  SweepOutcome sweep_out;
+  ASSERT_TRUE(DecodeOutcome(encoded, &sweep_out));
+  EXPECT_FALSE(DecodeOutcome(ReplaceField(encoded, "fseeds=5", "fseeds=-5"), &sweep_out));
+  EXPECT_FALSE(DecodeOutcome(
+      ReplaceField(encoded, "fseeds=5", "fseeds=18446744073709551616"), &sweep_out));
 }
 
 TEST(CheckpointCodecTest, ChunkKeyEmbedsEveryLayoutParameter) {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "syneval/core/conformance.h"
+#include "syneval/fault/chaos.h"
+#include "syneval/solutions/cases.h"
 #include "syneval/solutions/registry.h"
 
 namespace syneval {
@@ -128,6 +130,52 @@ TEST(ConformanceSuiteTest, CoversEveryRegisteredMechanismProblemPair) {
   // Semaphore rw-fcfs/rw-fair are intentionally absent from the registry; all present
   // registry entries must be covered.
   EXPECT_EQ(matched, static_cast<int>(AllSolutionInfos().size()));
+}
+
+TEST(CaseCatalogueTest, EveryEntryIsFoundByItsName) {
+  const std::span<const CaseEntry> catalogue = CaseCatalogue();
+  EXPECT_EQ(catalogue.size(), BuildConformanceSuite(1).size());
+  for (const CaseEntry& entry : catalogue) {
+    EXPECT_EQ(FindCase(entry.mechanism, entry.display), &entry)
+        << entry.display << ": (mechanism, display) must be unique in the catalogue";
+  }
+  EXPECT_EQ(FindCase(Mechanism::kMonitor, "no such solution"), nullptr);
+}
+
+// The catalogue's invariant for the chaos calibration: every chaos case is a
+// conformance case, and its fault-off run is that case's conformance trial — the same
+// trace, event for event, and the same verdict — under the chaos step budget and ring
+// cap.
+TEST(CaseCatalogueTest, ChaosFaultOffRunsAreTheirConformanceTrials) {
+  const std::vector<ConformanceCase> suite = BuildConformanceSuite(1);
+  for (const ChaosCase& chaos_case : BuildChaosSuite(1)) {
+    const ConformanceCase* match = nullptr;
+    for (const ConformanceCase& c : suite) {
+      if (c.mechanism == chaos_case.mechanism && c.problem == chaos_case.problem &&
+          c.display == chaos_case.display) {
+        match = &c;
+      }
+    }
+    ASSERT_NE(match, nullptr) << chaos_case.display << " is not a conformance case";
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(chaos_case.display + " seed " + std::to_string(seed));
+      const ChaosReplayResult chaos = chaos_case.replay(seed, /*plan=*/nullptr);
+      const ConformanceReplay conformance = ReplayConformanceTrial(*match, seed);
+      ASSERT_EQ(chaos.events.size(), conformance.events.size());
+      for (std::size_t i = 0; i < chaos.events.size(); ++i) {
+        const Event& a = chaos.events[i];
+        const Event& b = conformance.events[i];
+        ASSERT_TRUE(a.seq == b.seq && a.thread == b.thread && a.kind == b.kind &&
+                    a.op == b.op && a.op_instance == b.op_instance && a.param == b.param &&
+                    a.value == b.value)
+            << "event " << i << ": chaos " << a.ToString() << " vs conformance "
+            << b.ToString();
+      }
+      const bool chaos_passed = chaos.outcome.completed && !chaos.outcome.oracle_failed &&
+                                chaos.outcome.anomalies == 0;
+      EXPECT_EQ(chaos_passed, conformance.report.Passed()) << conformance.report.message;
+    }
+  }
 }
 
 }  // namespace

@@ -199,6 +199,21 @@ TEST(ParallelSweepTest, ResolveJobsHonorsLiteralEnvAndFallback) {
   EXPECT_GE(ResolveJobs(0), 1);
 }
 
+// Values past INT_MAX are malformed too: they must not wrap (3000000000 to a negative
+// count, 2^32 + 1 to 1). Only ResolveJobs runs here, so no pool ever sees the value.
+TEST(ParallelSweepTest, ResolveJobsIgnoresEnvValuesPastIntMax) {
+  ASSERT_EQ(unsetenv("SYNEVAL_JOBS"), 0);
+  const int fallback = ResolveJobs(0);
+  for (const char* value : {"3000000000", "4294967297", "2147483648",
+                            "99999999999999999999999"}) {
+    ASSERT_EQ(setenv("SYNEVAL_JOBS", value, /*overwrite=*/1), 0);
+    EXPECT_EQ(ResolveJobs(0), fallback) << "SYNEVAL_JOBS=" << value;
+  }
+  ASSERT_EQ(setenv("SYNEVAL_JOBS", "2147483647", 1), 0);
+  EXPECT_EQ(ResolveJobs(0), 2147483647);
+  ASSERT_EQ(unsetenv("SYNEVAL_JOBS"), 0);
+}
+
 // Stress the pool under maximum steal pressure: tiny chunks, more workers than
 // hardware threads, real DetRuntime trials. Run under TSan (SYNEVAL_SANITIZE=thread)
 // this doubles as the data-race gate for the queue and telemetry shards.
