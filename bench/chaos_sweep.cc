@@ -103,9 +103,9 @@ int main(int argc, char** argv) {
         std::chrono::milliseconds(options.trial_deadline_ms);
   }
 
-  // The calibration table is bit-identical at any worker count (deterministic merge in
+  // The calibration table is bit-identical at any worker count (one fold in seed order,
   // runtime/parallel_sweep.h), so the golden-file diff is safe under --jobs — and
-  // under --resume, which restores already-folded chunks from the checkpoint file.
+  // under --resume, which restores already-run chunks from the checkpoint file.
   const std::unique_ptr<syneval::CheckpointStore> store =
       syneval::bench::MakeCheckpointStore(options);
   syneval::ParallelOptions parallel = options.Parallel();
@@ -130,8 +130,14 @@ int main(int argc, char** argv) {
                 table.supervisor.retried, table.supervisor.quarantined);
   }
   if (store != nullptr) {
-    std::printf("resume: %d chunk(s) restored, %d now checkpointed in %s\n",
-                store->hits(), store->size(), store->path().c_str());
+    // Restored = chunks whose records decoded (the workers' `cached`), not store hits:
+    // a hit whose payload fails to decode re-runs its chunk.
+    int restored = 0;
+    for (const syneval::WorkerTelemetry& worker : table.workers) {
+      restored += worker.cached;
+    }
+    std::printf("resume: %d chunk(s) restored, %d now checkpointed in %s\n", restored,
+                store->size(), store->path().c_str());
     reporter.SetJournal(store->appends(), store->compactions(), store->replayed());
   }
   if (!options.quarantine_path.empty()) {

@@ -5,7 +5,10 @@ Usage:
     python3 bench/diff_golden.py GOLDEN FRESH
 
 Both files are bench result documents (bench/validate_schema.py). Rows are keyed by
-(mechanism, problem, metric) and must carry exactly the golden value: a row whose
+(mechanism, problem, metric, occurrence), where occurrence counts earlier rows with
+the same (mechanism, problem, metric) in document order — a mechanism can solve one
+problem several ways, and each such row is compared, not just the last one. Every row
+must carry exactly the golden value: a row whose
 value drifted, a golden row the fresh run lost, and a fresh row the golden file does
 not have are all regressions, printed one per line on standard error. Exit status 0
 when the rows match, 1 when they differ, 2 on a usage or read error. An intentional
@@ -17,8 +20,13 @@ import sys
 
 
 def rows(doc):
-    """Maps (mechanism, problem, metric) to value over a document's result rows."""
-    return {(r["mechanism"], r["problem"], r["metric"]): r["value"] for r in doc["results"]}
+    """Maps (mechanism, problem, metric, occurrence) to value over a document's rows."""
+    keyed, seen = {}, {}
+    for r in doc["results"]:
+        key = (r["mechanism"], r["problem"], r["metric"])
+        seen[key] = seen.get(key, -1) + 1
+        keyed[key + (seen[key],)] = r["value"]
+    return keyed
 
 
 def diff(golden, fresh):

@@ -12,8 +12,8 @@
 //                         hardware_concurrency; sweeps are bit-identical at any n)
 //       --seeds=<n>       schedule seeds per sweep (0 = the bench's default count)
 //       --resume=<path>   checkpoint snapshot file (runtime/checkpoint.h): chunks
-//                         already folded in a previous (possibly killed) run are
-//                         restored instead of re-run; the merged outcome is
+//                         already run in a previous (possibly killed) run are
+//                         restored instead of re-run; the folded outcome is
 //                         bit-identical to an uninterrupted sweep
 //       --trial-deadline=<ms>  per-trial wall-clock budget for supervised benches
 //                         (runtime/supervisor.h); 0 disables reaping

@@ -6,7 +6,7 @@
 // once through the work-stealing pool at --jobs workers. The two outcomes must be
 // bit-identical — every count, every failing/anomalous seed in order, every
 // first-failure string — or the bench exits 1; CI runs this in the perf-regression
-// job, so a merge-determinism regression blocks there even before the dedicated unit
+// job, so a fold-determinism regression blocks there even before the dedicated unit
 // test is consulted. The JSON carries per-problem wall times and the overall speedup,
 // which the perf-regression step summary quotes.
 
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     std::string why;
     if (!Identical(s.outcome, p.outcome, &why)) {
       std::fprintf(stderr,
-                   "sweep_scaling: MERGE NOT BIT-IDENTICAL on %s (%s): %s\n",
+                   "sweep_scaling: SWEEP NOT BIT-IDENTICAL on %s (%s): %s\n",
                    c.problem.c_str(), c.display.c_str(), why.c_str());
       return 1;
     }

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
                                                 : replay.anomaly_report.c_str());
       // Sweep the replay across schedule seeds, sharded over --jobs workers. Every
       // seed must reproduce the deadlock AND be named by the detector; the counts are
-      // deterministic (bit-identical merge), so the rows are golden-file safe.
+      // deterministic (one fold in seed order), so the rows are golden-file safe.
       const syneval::SweepOutcome sweep = syneval::ReplayCounterexampleSweep(
           broken, result.counterexample, kReplaySweepSeeds, /*base_seed=*/1,
           options.Parallel());

@@ -84,8 +84,14 @@ int main(int argc, char** argv) {
     results.push_back(ConformanceResult{conformance_case, std::move(sweep.outcome)});
   }
   if (store != nullptr) {
-    std::printf("resume: %d chunk(s) restored, %d now checkpointed in %s\n",
-                store->hits(), store->size(), store->path().c_str());
+    // Restored = chunks whose records decoded (the workers' `cached`), not store hits:
+    // a hit whose payload fails to decode re-runs its chunk.
+    int restored = 0;
+    for (const WorkerTelemetry& worker : workers) {
+      restored += worker.cached;
+    }
+    std::printf("resume: %d chunk(s) restored, %d now checkpointed in %s\n", restored,
+                store->size(), store->path().c_str());
   }
   std::printf("%s\n", RenderConformanceTable(results).c_str());
 

@@ -742,29 +742,18 @@ DporCellResult ExploreCell(const DporCell& cell, const DporOptions& options) {
 DporSuiteResult ExploreDporSuite(const std::vector<DporCell>& suite,
                                  const DporOptions& options,
                                  const ParallelOptions& parallel) {
+  // One pool task per cell (seed i + 1 explores cell i); the engine returns the cell
+  // results in suite order for any worker count. No codec: cells never checkpoint.
+  SeedSweep<DporCellResult> sweep = SweepSeeds<DporCellResult>(
+      static_cast<int>(suite.size()), /*base_seed=*/1, parallel,
+      [&suite, &options](std::uint64_t seed) {
+        return ExploreCell(suite[static_cast<std::size_t>(seed - 1)], options);
+      });
   DporSuiteResult result;
-  result.cells.resize(suite.size());
-  std::vector<DporCellResult>& cells = result.cells;
-  // One pool task per cell; tasks write disjoint slots, so the merged result is
-  // positionally identical for any worker count.
-  const auto trial = [&suite, &cells, &options](std::uint64_t seed) {
-    const std::size_t index = static_cast<std::size_t>(seed - 1);
-    cells[index] = ExploreCell(suite[index], options);
-    return TrialReport{};
-  };
-  // The pool is used only for parallelism here: cell results are SIDE EFFECTS of the
-  // trial (written into `cells` by index) and the folded TrialReports are empty. A
-  // checkpoint-restored chunk would skip the trial and leave its cells unexplored, so
-  // checkpointing is stripped even when the caller sweeps everything else with it.
-  ParallelOptions pool = parallel;
-  pool.checkpoint = nullptr;
-  pool.checkpoint_scope.clear();
-  const ParallelSweepResult sweep = ParallelSweepSchedules(
-      static_cast<int>(suite.size()), std::function<TrialReport(std::uint64_t)>(trial),
-      /*base_seed=*/1, pool);
+  result.cells = std::move(sweep.results);
   result.jobs = sweep.jobs;
   result.wall_seconds = sweep.wall_seconds;
-  result.workers = sweep.workers;
+  result.workers = std::move(sweep.workers);
   return result;
 }
 

@@ -6,9 +6,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <utility>
-#include <vector>
 
 namespace syneval {
 
@@ -31,16 +29,7 @@ class RecordWriter {
   void PutU64(std::string_view key, std::uint64_t value) {
     Put(key, std::to_string(value));
   }
-  void PutSeeds(std::string_view key, const std::vector<std::uint64_t>& seeds) {
-    std::string joined;
-    for (std::uint64_t seed : seeds) {
-      if (!joined.empty()) {
-        joined += ',';
-      }
-      joined += std::to_string(seed);
-    }
-    Put(key, joined);
-  }
+  void PutBool(std::string_view key, bool value) { Put(key, value ? "1" : "0"); }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -96,24 +85,12 @@ class RecordReader {
     const auto it = fields_.find(key);
     return it != fields_.end() && ParseU64(it->second, value);
   }
-  bool GetSeeds(const std::string& key, std::vector<std::uint64_t>* seeds) const {
-    std::string joined;
-    if (!Get(key, &joined)) {
+  bool GetBool(const std::string& key, bool* value) const {
+    const auto it = fields_.find(key);
+    if (it == fields_.end() || (it->second != "0" && it->second != "1")) {
       return false;
     }
-    seeds->clear();
-    if (joined.empty()) {
-      return true;
-    }
-    std::istringstream in(joined);
-    std::string token;
-    while (std::getline(in, token, ',')) {
-      std::uint64_t seed = 0;
-      if (!ParseU64(token, &seed)) {
-        return false;
-      }
-      seeds->push_back(seed);
-    }
+    *value = it->second == "1";
     return true;
   }
 
@@ -151,32 +128,35 @@ bool GetAnomalies(const RecordReader& r, AnomalyCounts* counts) {
          r.GetInt("a.st", &counts->starvations);
 }
 
-void PutPostmortems(RecordWriter& w, const std::vector<SeedPostmortem>& postmortems) {
-  w.PutInt("npm", static_cast<int>(postmortems.size()));
-  for (std::size_t i = 0; i < postmortems.size(); ++i) {
-    const std::string prefix = "pm" + std::to_string(i) + ".";
-    w.PutU64(prefix + "seed", postmortems[i].seed);
-    w.Put(prefix + "cause", postmortems[i].cause);
-    w.Put(prefix + "text", postmortems[i].text);
-  }
+// One chaos run's fields, each key prefixed ("on." / "off.").
+void PutChaosRun(RecordWriter& w, const std::string& prefix, const ChaosTrialOutcome& run) {
+  w.PutBool(prefix + "done", run.completed);
+  w.PutBool(prefix + "hung", run.hung);
+  w.PutBool(prefix + "skip", run.skipped);
+  w.PutBool(prefix + "ofail", run.oracle_failed);
+  w.PutInt(prefix + "inj", run.injected);
+  w.PutU64(prefix + "first", run.first_injection_step);
+  w.PutU64(prefix + "steps", run.steps);
+  w.PutInt(prefix + "anom", run.anomalies);
+  w.Put(prefix + "report", run.report);
+  w.Put(prefix + "pmcause", run.postmortem_cause);
+  w.Put(prefix + "pm", run.postmortem);
+  w.PutU64(prefix + "fev", run.flight_evicted);
 }
 
-bool GetPostmortems(const RecordReader& r, std::vector<SeedPostmortem>* postmortems) {
-  int count = 0;
-  if (!r.GetInt("npm", &count) || count < 0) {
-    return false;
-  }
-  postmortems->clear();
-  for (int i = 0; i < count; ++i) {
-    const std::string prefix = "pm" + std::to_string(i) + ".";
-    SeedPostmortem pm;
-    if (!r.GetU64(prefix + "seed", &pm.seed) || !r.Get(prefix + "cause", &pm.cause) ||
-        !r.Get(prefix + "text", &pm.text)) {
-      return false;
-    }
-    postmortems->push_back(std::move(pm));
-  }
-  return true;
+bool GetChaosRun(const RecordReader& r, const std::string& prefix, ChaosTrialOutcome* run) {
+  return r.GetBool(prefix + "done", &run->completed) &&
+         r.GetBool(prefix + "hung", &run->hung) &&
+         r.GetBool(prefix + "skip", &run->skipped) &&
+         r.GetBool(prefix + "ofail", &run->oracle_failed) &&
+         r.GetInt(prefix + "inj", &run->injected) &&
+         r.GetU64(prefix + "first", &run->first_injection_step) &&
+         r.GetU64(prefix + "steps", &run->steps) &&
+         r.GetInt(prefix + "anom", &run->anomalies) &&
+         r.Get(prefix + "report", &run->report) &&
+         r.Get(prefix + "pmcause", &run->postmortem_cause) &&
+         r.Get(prefix + "pm", &run->postmortem) &&
+         r.GetU64(prefix + "fev", &run->flight_evicted);
 }
 
 }  // namespace
@@ -239,112 +219,6 @@ std::string CheckpointUnescape(std::string_view s) {
   return out;
 }
 
-std::string EncodeOutcome(const SweepOutcome& outcome) {
-  RecordWriter w;
-  w.Put("v", "sweep1");
-  w.PutInt("runs", outcome.runs);
-  w.PutInt("passes", outcome.passes);
-  w.PutInt("failures", outcome.failures);
-  w.PutSeeds("fseeds", outcome.failing_seeds);
-  w.Put("ffail", outcome.first_failure);
-  PutAnomalies(w, outcome.anomalies);
-  w.PutSeeds("aseeds", outcome.anomalous_seeds);
-  w.Put("fanom", outcome.first_anomaly);
-  PutPostmortems(w, outcome.postmortems);
-  w.PutInt("pmtotal", outcome.postmortems_total);
-  w.PutU64("fev", outcome.flight_evicted);
-  return w.Take();
-}
-
-bool DecodeOutcome(const std::string& payload, SweepOutcome* out) {
-  const RecordReader r(payload);
-  std::string version;
-  if (!r.Get("v", &version) || version != "sweep1") {
-    return false;
-  }
-  SweepOutcome decoded;
-  if (!r.GetInt("runs", &decoded.runs) || !r.GetInt("passes", &decoded.passes) ||
-      !r.GetInt("failures", &decoded.failures) ||
-      !r.GetSeeds("fseeds", &decoded.failing_seeds) ||
-      !r.Get("ffail", &decoded.first_failure) || !GetAnomalies(r, &decoded.anomalies) ||
-      !r.GetSeeds("aseeds", &decoded.anomalous_seeds) ||
-      !r.Get("fanom", &decoded.first_anomaly) ||
-      !GetPostmortems(r, &decoded.postmortems) ||
-      !r.GetInt("pmtotal", &decoded.postmortems_total) ||
-      !r.GetU64("fev", &decoded.flight_evicted)) {
-    return false;
-  }
-  *out = std::move(decoded);
-  return true;
-}
-
-std::string EncodeChaosOutcome(const ChaosSweepOutcome& outcome) {
-  RecordWriter w;
-  // "chaos2" added the quarantine `skip` count; "chaos1" payloads decode as cache
-  // misses and re-fold, which is always safe.
-  w.Put("v", "chaos2");
-  w.PutInt("runs", outcome.runs);
-  w.PutInt("skip", outcome.skipped);
-  w.PutInt("inj", outcome.injected_runs);
-  w.PutInt("harm", outcome.harmful);
-  w.PutInt("det", outcome.detected_harmful);
-  w.PutInt("abs", outcome.absorbed);
-  w.PutInt("corr", outcome.corrupted);
-  w.PutInt("canom", outcome.clean_anomalies);
-  w.PutInt("cfail", outcome.clean_failures);
-  w.PutU64("dsteps", outcome.detection_steps_total);
-  w.PutSeeds("mseeds", outcome.missed_seeds);
-  w.PutSeeds("fpseeds", outcome.fp_seeds);
-  PutPostmortems(w, outcome.postmortems);
-  w.PutInt("pmtotal", outcome.postmortems_total);
-  w.PutInt("ncause", static_cast<int>(outcome.postmortem_causes.size()));
-  int index = 0;
-  for (const auto& [cause, count] : outcome.postmortem_causes) {
-    const std::string prefix = "cause" + std::to_string(index++) + ".";
-    w.Put(prefix + "name", cause);
-    w.PutInt(prefix + "n", count);
-  }
-  w.PutU64("fev", outcome.flight_evicted);
-  return w.Take();
-}
-
-bool DecodeChaosOutcome(const std::string& payload, ChaosSweepOutcome* out) {
-  const RecordReader r(payload);
-  std::string version;
-  if (!r.Get("v", &version) || version != "chaos2") {
-    return false;
-  }
-  ChaosSweepOutcome decoded;
-  int ncause = 0;
-  if (!r.GetInt("runs", &decoded.runs) || !r.GetInt("skip", &decoded.skipped) ||
-      !r.GetInt("inj", &decoded.injected_runs) ||
-      !r.GetInt("harm", &decoded.harmful) ||
-      !r.GetInt("det", &decoded.detected_harmful) ||
-      !r.GetInt("abs", &decoded.absorbed) || !r.GetInt("corr", &decoded.corrupted) ||
-      !r.GetInt("canom", &decoded.clean_anomalies) ||
-      !r.GetInt("cfail", &decoded.clean_failures) ||
-      !r.GetU64("dsteps", &decoded.detection_steps_total) ||
-      !r.GetSeeds("mseeds", &decoded.missed_seeds) ||
-      !r.GetSeeds("fpseeds", &decoded.fp_seeds) ||
-      !GetPostmortems(r, &decoded.postmortems) ||
-      !r.GetInt("pmtotal", &decoded.postmortems_total) ||
-      !r.GetInt("ncause", &ncause) || ncause < 0 ||
-      !r.GetU64("fev", &decoded.flight_evicted)) {
-    return false;
-  }
-  for (int i = 0; i < ncause; ++i) {
-    const std::string prefix = "cause" + std::to_string(i) + ".";
-    std::string name;
-    int count = 0;
-    if (!r.Get(prefix + "name", &name) || !r.GetInt(prefix + "n", &count)) {
-      return false;
-    }
-    decoded.postmortem_causes[name] = count;
-  }
-  *out = std::move(decoded);
-  return true;
-}
-
 std::string EncodeTrialReport(const TrialReport& report) {
   RecordWriter w;
   w.Put("v", "trial1");
@@ -368,6 +242,26 @@ bool DecodeTrialReport(const std::string& payload, TrialReport* out) {
       !r.Get("areport", &decoded.anomaly_report) ||
       !r.Get("pmcause", &decoded.postmortem_cause) ||
       !r.Get("pm", &decoded.postmortem) || !r.GetU64("fev", &decoded.flight_evicted)) {
+    return false;
+  }
+  *out = std::move(decoded);
+  return true;
+}
+
+std::string EncodeChaosSeedPair(const ChaosSeedPair& pair) {
+  RecordWriter w;
+  w.Put("v", "chaospair1");
+  PutChaosRun(w, "on.", pair.on);
+  PutChaosRun(w, "off.", pair.off);
+  return w.Take();
+}
+
+bool DecodeChaosSeedPair(const std::string& payload, ChaosSeedPair* out) {
+  const RecordReader r(payload);
+  std::string version;
+  ChaosSeedPair decoded;
+  if (!r.Get("v", &version) || version != "chaospair1" ||
+      !GetChaosRun(r, "on.", &decoded.on) || !GetChaosRun(r, "off.", &decoded.off)) {
     return false;
   }
   *out = std::move(decoded);
@@ -412,7 +306,7 @@ int CheckpointStore::Load() {
         while (std::getline(in, line)) {
           const std::size_t tab = line.find('\t');
           if (tab == std::string::npos || tab == 0) {
-            continue;  // Malformed line: skip; the chunk just gets re-folded.
+            continue;  // Malformed line: skip; the chunk just gets re-run.
           }
           entries_[CheckpointUnescape(std::string_view(line).substr(0, tab))] =
               CheckpointUnescape(std::string_view(line).substr(tab + 1));
@@ -453,7 +347,7 @@ int CheckpointStore::ReplayJournalLocked() {
     pos = nl + 1;
     const std::size_t tab = line.find('\t');
     if (tab == std::string_view::npos || tab == 0) {
-      continue;  // Malformed line: skip; the chunk just gets re-folded.
+      continue;  // Malformed line: skip; the chunk just gets re-run.
     }
     entries_[CheckpointUnescape(line.substr(0, tab))] =
         CheckpointUnescape(line.substr(tab + 1));

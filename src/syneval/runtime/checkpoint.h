@@ -1,14 +1,14 @@
-// Checkpoint store: crash-safe persistence of folded sweep chunks, so a killed sweep
-// resumes and merges bit-identical to an uninterrupted run.
+// Checkpoint store: crash-safe persistence of swept chunks, so a killed sweep resumes
+// and folds bit-identical to an uninterrupted run.
 //
-// The parallel sweep engine (runtime/parallel_sweep.h) already guarantees that a sweep
-// aggregate is a pure function of (suite, seed range): chunks are folded independently
-// and merged in chunk order. That makes chunk outcomes the natural checkpoint unit —
-// each one is immutable once computed and keyed by everything that determined it
-// (caller scope, sweep kind, base seed, seed count, chunk layout, chunk index). This
-// module extends the PR 5 determinism guarantee across process lifetimes:
+// The parallel sweep engine (runtime/parallel_sweep.h) computes one result per seed
+// and each sweep folds those results once, in seed order; a sweep aggregate is
+// therefore a pure function of its per-seed results. A chunk's per-seed records are
+// the natural checkpoint unit — immutable once computed and keyed by everything that
+// determined them (caller scope, sweep kind, base seed, seed count, chunk layout,
+// chunk index). This module extends that determinism across process lifetimes:
 //
-//   * CheckpointStore maps chunk keys to encoded chunk outcomes and persists them as
+//   * CheckpointStore maps chunk keys to encoded chunk payloads and persists them as
 //     a snapshot + write-ahead journal pair. Every Commit() appends one flushed
 //     "<key>\t<payload>" line to "<path>.journal" — durable immediately, so a SIGKILL
 //     at ANY point loses at most the one append it interrupted — and every
@@ -19,17 +19,21 @@
 //     crash anywhere inside compaction all degrade to cache misses: the snapshot is
 //     always a complete parseable file, and journal entries that survived a
 //     mid-compaction crash merely replay as idempotent duplicates.
-//   * EncodeOutcome/DecodeOutcome (and the chaos/trial-report variants) are LOSSLESS
-//     over every aggregate field — counts, seed lists, first-failure strings, stored
-//     postmortems, the chaos cause histogram — so a resumed sweep's merged outcome,
-//     and hence the bench JSON rendered from it, is byte-identical to the clean run.
+//   * The per-seed record codecs — EncodeTrialReport ("trial1", one schedule-sweep
+//     seed) and EncodeChaosSeedPair ("chaospair1", one chaos seed's fault-on and
+//     fault-off runs) — are LOSSLESS over every field, so a restored chunk folds
+//     exactly like a re-run one and a resumed sweep's outcome, and hence the bench
+//     JSON rendered from it, is byte-identical to the clean run. A chunk's payload is
+//     its seeds' records, in seed order, joined by ','.
 //
 // Format (docs/RESILIENCE.md): the snapshot is a header line "syneval-checkpoint v1",
 // then one "<key>\t<payload>" line per chunk; the journal is a header line
 // "syneval-journal v1", then the same line format in append order. Keys and payloads
 // are escaped so they contain no tab or newline; unparseable lines are skipped on
-// load (a truncated or corrupted entry costs a re-fold of that chunk, nothing more).
-// Payloads are "k=v;k=v" records with the same escaping. No external serialization
+// load (a truncated or corrupted entry costs a re-run of that chunk, nothing more).
+// Records are "k=v;k=v" with the same escaping (so no record holds a raw ',').
+// Payloads of older writers (the "sweep1" / "chaos2" per-chunk aggregates) fail to
+// decode as records and are re-run as cache misses. No external serialization
 // library — the runtime layer sits below syneval_core, so it cannot use the
 // scorecard JSON helpers.
 //
@@ -62,18 +66,18 @@ bool WriteFileAtomically(const std::string& path, const std::string& contents);
 std::string CheckpointEscape(std::string_view s);
 std::string CheckpointUnescape(std::string_view s);
 
-// Lossless codecs for the sweep aggregates. Decode returns false (leaving *out
-// untouched on required-field failures) when the payload is malformed or from an
-// incompatible writer; callers treat that as a cache miss and re-fold the chunk.
-std::string EncodeOutcome(const SweepOutcome& outcome);
-bool DecodeOutcome(const std::string& payload, SweepOutcome* out);
-std::string EncodeChaosOutcome(const ChaosSweepOutcome& outcome);
-bool DecodeChaosOutcome(const std::string& payload, ChaosSweepOutcome* out);
-
-// TrialReport codec, shared with the supervisor's process sandbox (supervisor.h):
-// the child serializes its report into shared memory with this.
+// Lossless per-seed record codecs. Decode returns false, leaving *out untouched, when
+// the record is malformed, out of range, or from an incompatible writer (another
+// version tag); the engine treats that as a cache miss and re-runs the chunk.
+//
+// TrialReport ("trial1"): one schedule-sweep seed. Shared with the supervisor's
+// process sandbox (supervisor.h): the child serializes its report into shared memory
+// with this.
 std::string EncodeTrialReport(const TrialReport& report);
 bool DecodeTrialReport(const std::string& payload, TrialReport* out);
+// ChaosSeedPair ("chaospair1"): one chaos-sweep seed's fault-on and fault-off runs.
+std::string EncodeChaosSeedPair(const ChaosSeedPair& pair);
+bool DecodeChaosSeedPair(const std::string& payload, ChaosSeedPair* out);
 
 // Key for one chunk of one sweep. `scope` identifies the caller (bench name, suite
 // case, workload scale, fault plan — everything that shapes the trial beyond the
@@ -124,7 +128,7 @@ class CheckpointStore {
   const std::string& path() const { return path_; }
   std::string journal_path() const { return path_ + ".journal"; }
   int size() const;
-  // Successful Lookup() calls — i.e. chunks a resumed sweep did not have to re-fold.
+  // Successful Lookup() calls — i.e. chunks a resumed sweep did not have to re-run.
   int hits() const;
   // Journal telemetry, rendered as the schema-v5 "journal" object by the bench
   // reporter: appends written this run, compactions performed, and journal entries

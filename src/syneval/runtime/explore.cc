@@ -44,8 +44,8 @@ std::string SweepOutcome::PostmortemDump() const {
 
 namespace sweep_internal {
 
-void AccumulateTrial(const std::function<TrialReport(std::uint64_t)>& trial,
-                     std::uint64_t seed, SweepOutcome& outcome) {
+TrialReport RunTrial(const std::function<TrialReport(std::uint64_t)>& trial,
+                     std::uint64_t seed) {
   // An aborting trial (an exception escaping the workload) must not desynchronize the
   // rate denominators: the seed still counts as a run and the abort as a failure, so
   // FailureRate() and AnomalyRate() stay fractions of the same `runs` total no matter
@@ -58,6 +58,10 @@ void AccumulateTrial(const std::function<TrialReport(std::uint64_t)>& trial,
   } catch (...) {
     report.message = "trial aborted: unknown exception";
   }
+  return report;
+}
+
+void AccumulateTrial(TrialReport report, std::uint64_t seed, SweepOutcome& outcome) {
   ++outcome.runs;
   if (report.Passed()) {
     ++outcome.passes;
@@ -89,59 +93,57 @@ void AccumulateTrial(const std::function<TrialReport(std::uint64_t)>& trial,
   outcome.flight_evicted += report.flight_evicted;
 }
 
-void MergeOutcome(SweepOutcome& into, SweepOutcome&& chunk) {
-  into.runs += chunk.runs;
-  into.passes += chunk.passes;
-  into.failures += chunk.failures;
-  into.failing_seeds.insert(into.failing_seeds.end(), chunk.failing_seeds.begin(),
-                            chunk.failing_seeds.end());
-  if (into.first_failure.empty()) {
-    into.first_failure = std::move(chunk.first_failure);
+namespace {
+
+// One chaos run with the run step's exception catch: a trial that throws is a hung
+// run, keeping `runs` a common denominator.
+ChaosTrialOutcome RunChaosTrial(
+    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
+    std::uint64_t seed, const FaultPlan* plan) {
+  ChaosTrialOutcome out;
+  try {
+    out = trial(seed, plan);
+  } catch (const std::exception& error) {
+    out.hung = true;
+    out.report = std::string("trial aborted: ") + error.what();
+  } catch (...) {
+    out.hung = true;
+    out.report = "trial aborted: unknown exception";
   }
-  into.anomalies += chunk.anomalies;
-  into.anomalous_seeds.insert(into.anomalous_seeds.end(), chunk.anomalous_seeds.begin(),
-                              chunk.anomalous_seeds.end());
-  if (into.first_anomaly.empty()) {
-    into.first_anomaly = std::move(chunk.first_anomaly);
-  }
-  into.postmortems_total += chunk.postmortems_total;
-  for (SeedPostmortem& pm : chunk.postmortems) {
-    if (static_cast<int>(into.postmortems.size()) >= kMaxStoredPostmortems) {
-      break;  // Chunks arrive in seed order, so truncation matches the serial sweep.
-    }
-    into.postmortems.push_back(std::move(pm));
-  }
-  into.flight_evicted += chunk.flight_evicted;
+  return out;
 }
 
-void AccumulateChaosTrial(
+}  // namespace
+
+ChaosSeedPair RunChaosSeed(
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t seed, ChaosSweepOutcome& outcome) {
-  // Fault-on run: measure recall over faults that actually fired and did harm. A trial
-  // that throws is folded in as hung, keeping `runs` a common denominator.
-  ChaosTrialOutcome on;
-  try {
-    on = trial(seed, &plan);
-  } catch (const std::exception& error) {
-    on.hung = true;
-    on.report = std::string("trial aborted: ") + error.what();
-  } catch (...) {
-    on.hung = true;
-    on.report = "trial aborted: unknown exception";
+    const FaultPlan& plan, std::uint64_t seed) {
+  ChaosSeedPair pair;
+  pair.on = RunChaosTrial(trial, seed, &plan);
+  if (!pair.on.skipped) {
+    // Supervised sweeps skip a quarantined row's seeds: the supervision wrapper
+    // short-circuits the fault-on run, and the fault-off run must not run either.
+    pair.off = RunChaosTrial(trial, seed, nullptr);
   }
+  return pair;
+}
+
+void AccumulateChaosTrial(ChaosSeedPair pair, std::uint64_t seed,
+                          ChaosSweepOutcome& outcome) {
+  ChaosTrialOutcome& on = pair.on;
   if (on.skipped) {
-    // Supervised sweeps: the cell was quarantined before this seed ran. Nothing
-    // executed (the supervision wrapper short-circuits the fault-off run too), so no
-    // denominator moves — the seed is only counted as skipped.
+    // Nothing executed for this seed, so no denominator moves — the seed is only
+    // counted as skipped.
     ++outcome.skipped;
     return;
   }
+  // Fault-on run: measure recall over faults that actually fired and did harm.
   ++outcome.runs;
   if (!on.postmortem.empty()) {
     ++outcome.postmortems_total;
     if (static_cast<int>(outcome.postmortems.size()) < kMaxStoredPostmortems) {
       outcome.postmortems.push_back(
-          SeedPostmortem{seed, on.postmortem_cause, on.postmortem});
+          SeedPostmortem{seed, on.postmortem_cause, std::move(on.postmortem)});
     }
   }
   if (on.anomalies > 0) {
@@ -170,16 +172,7 @@ void AccumulateChaosTrial(
 
   // Matched fault-off run: the same schedule seed with no injector attached. Any
   // detector finding here is a false positive by construction.
-  ChaosTrialOutcome off;
-  try {
-    off = trial(seed, nullptr);
-  } catch (const std::exception& error) {
-    off.hung = true;
-    off.report = std::string("trial aborted: ") + error.what();
-  } catch (...) {
-    off.hung = true;
-    off.report = "trial aborted: unknown exception";
-  }
+  const ChaosTrialOutcome& off = pair.off;
   if (off.anomalies > 0) {
     ++outcome.clean_anomalies;
     outcome.fp_seeds.push_back(seed);
@@ -190,53 +183,19 @@ void AccumulateChaosTrial(
   outcome.flight_evicted += on.flight_evicted + off.flight_evicted;
 }
 
-void MergeChaosOutcome(ChaosSweepOutcome& into, ChaosSweepOutcome&& chunk) {
-  into.runs += chunk.runs;
-  into.skipped += chunk.skipped;
-  into.injected_runs += chunk.injected_runs;
-  into.harmful += chunk.harmful;
-  into.detected_harmful += chunk.detected_harmful;
-  into.absorbed += chunk.absorbed;
-  into.corrupted += chunk.corrupted;
-  into.clean_anomalies += chunk.clean_anomalies;
-  into.clean_failures += chunk.clean_failures;
-  into.detection_steps_total += chunk.detection_steps_total;
-  into.missed_seeds.insert(into.missed_seeds.end(), chunk.missed_seeds.begin(),
-                           chunk.missed_seeds.end());
-  into.fp_seeds.insert(into.fp_seeds.end(), chunk.fp_seeds.begin(),
-                       chunk.fp_seeds.end());
-  into.postmortems_total += chunk.postmortems_total;
-  for (SeedPostmortem& pm : chunk.postmortems) {
-    if (static_cast<int>(into.postmortems.size()) >= kMaxStoredPostmortems) {
-      break;
-    }
-    into.postmortems.push_back(std::move(pm));
-  }
-  for (const auto& [cause, count] : chunk.postmortem_causes) {
-    into.postmortem_causes[cause] += count;
-  }
-  into.flight_evicted += chunk.flight_evicted;
-}
-
 }  // namespace sweep_internal
-
-// The serial sweeps are the pool's jobs == 1 path (the default ParallelOptions).
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<std::string(std::uint64_t)>& trial,
-                            std::uint64_t base_seed) {
-  return ParallelSweepSchedules(num_seeds, trial, base_seed).outcome;
-}
-
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<TrialReport(std::uint64_t)>& trial,
-                            std::uint64_t base_seed) {
-  return ParallelSweepSchedules(num_seeds, trial, base_seed).outcome;
-}
 
 SweepOutcome SweepSchedules(int num_seeds,
                             const std::function<std::string(std::uint64_t)>& trial,
                             std::uint64_t base_seed, const ParallelOptions& parallel) {
-  return ParallelSweepSchedules(num_seeds, trial, base_seed, parallel).outcome;
+  return SweepSchedules(
+      num_seeds,
+      [&trial](std::uint64_t seed) {
+        TrialReport report;
+        report.message = trial(seed);
+        return report;
+      },
+      base_seed, parallel);
 }
 
 SweepOutcome SweepSchedules(int num_seeds,
@@ -268,13 +227,6 @@ std::string ChaosSweepOutcome::Summary() const {
     os << "; skipped " << skipped << " (quarantine)";
   }
   return os.str();
-}
-
-ChaosSweepOutcome SweepChaos(
-    int num_seeds,
-    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t base_seed) {
-  return ParallelSweepChaos(num_seeds, trial, plan, base_seed).outcome;
 }
 
 ChaosSweepOutcome SweepChaos(

@@ -9,6 +9,12 @@
 // Trials that attach an AnomalyDetector report a full TrialReport instead of a bare
 // message; the sweep then additionally aggregates per-anomaly counters (deadlocks, lost
 // wakeups, stuck waiters, starvations) and keeps the anomalous seeds for replay.
+//
+// Every sweep is two steps: the engine (runtime/parallel_sweep.h) runs each seed —
+// sweep_internal::RunTrial / RunChaosSeed, on as many workers as ParallelOptions asks
+// for — and returns the per-seed results in seed order; then the sweep folds them once,
+// in seed order (sweep_internal::AccumulateTrial / AccumulateChaosTrial). The fold is
+// the only place seeds combine, so the aggregate is the same at any worker count.
 
 #ifndef SYNEVAL_RUNTIME_EXPLORE_H_
 #define SYNEVAL_RUNTIME_EXPLORE_H_
@@ -22,6 +28,34 @@
 #include "syneval/anomaly/anomaly.h"
 
 namespace syneval {
+
+class CheckpointStore;
+
+// How a sweep runs: worker count, chunking and checkpointing. The defaults run it on
+// the calling thread, seeds in order, with no checkpoint.
+struct ParallelOptions {
+  // Worker count. 1 (the default) runs every seed on the calling thread, in seed
+  // order, and starts no thread. 0 means auto: the SYNEVAL_JOBS environment variable
+  // when set to a positive integer, otherwise hardware_concurrency().
+  int jobs = 1;
+  // Seeds per stealable chunk. 0 = auto (sized so each worker sees several chunks,
+  // keeping the steal queue useful without shredding cache locality). With a
+  // checkpoint attached, auto pins a fixed chunk size instead, so the chunk layout —
+  // which is part of every checkpoint key — is independent of the worker count and a
+  // sweep can resume under a different --jobs.
+  int chunk_seeds = 0;
+
+  // Checkpoint/resume (runtime/checkpoint.h). When non-null, every chunk's per-seed
+  // records are committed to the store under a key derived from (checkpoint_scope,
+  // sweep kind, base seed, seed count, chunk layout, chunk index), and chunks already
+  // present are restored instead of re-run — so a killed sweep, resumed against the
+  // same store, folds bit-identical to an uninterrupted run. `checkpoint_scope` must
+  // identify everything that shapes the trial beyond the seed (suite case, workload
+  // scale, fault plan); sweep entry points that know that context (conformance, chaos
+  // calibration) append it themselves.
+  CheckpointStore* checkpoint = nullptr;
+  std::string checkpoint_scope;
+};
 
 // Result of one trial. `message` empty means the trial passed its oracle; `anomalies`
 // carries whatever the trial's detector observed (which may be non-zero even on a
@@ -53,9 +87,8 @@ struct SeedPostmortem {
 };
 
 // Sweeps retain at most this many full postmortems (narratives can be large); the
-// rest are counted, not stored. The first-N-in-seed-order rule composes with the
-// chunk merge: each chunk keeps its own first N, and concatenation-in-chunk-order
-// followed by truncation reproduces the serial sweep's first N exactly.
+// rest are counted, not stored. The fold applies the cap once, over the whole sweep in
+// seed order, so the stored ones are always the first N seeds that produced one.
 inline constexpr int kMaxStoredPostmortems = 8;
 
 // Aggregate result of a schedule sweep.
@@ -101,29 +134,18 @@ struct SweepOutcome {
 
 // Runs `trial(seed)` for seeds base_seed .. base_seed + num_seeds - 1. A trial returns an
 // empty string to signal success, or a diagnostic message to signal failure (oracle
-// violation, deadlock, ...). Trials are executed sequentially, so they may share
-// deterministic state if desired; typically each trial is self-contained.
+// violation, deadlock, ...). At the default parallel.jobs == 1 the trials run one after
+// another on the calling thread, in seed order; otherwise they run on a work-stealing
+// pool (runtime/parallel_sweep.h) and must be safe to invoke concurrently (every
+// self-contained trial is). The outcome is the same either way.
 SweepOutcome SweepSchedules(int num_seeds, const std::function<std::string(std::uint64_t)>& trial,
-                            std::uint64_t base_seed = 1);
+                            std::uint64_t base_seed = 1, const ParallelOptions& parallel = {});
 
 // As above, for instrumented trials: also sums anomaly counters across trials and keeps
 // the seeds (and first diagnostic) of anomalous schedules for exact replay.
 SweepOutcome SweepSchedules(int num_seeds,
                             const std::function<TrialReport(std::uint64_t)>& trial,
-                            std::uint64_t base_seed = 1);
-
-// Parallel overloads: shard the seed range across a work-stealing worker pool
-// (runtime/parallel_sweep.h) and merge deterministically — the returned outcome is
-// bit-identical to the serial sweep of the same seeds at any worker count.
-// parallel.jobs == 1 falls back to the serial loop on the calling thread; the trial
-// must be safe to invoke concurrently otherwise (every self-contained trial is).
-struct ParallelOptions;
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<std::string(std::uint64_t)>& trial,
-                            std::uint64_t base_seed, const ParallelOptions& parallel);
-SweepOutcome SweepSchedules(int num_seeds,
-                            const std::function<TrialReport(std::uint64_t)>& trial,
-                            std::uint64_t base_seed, const ParallelOptions& parallel);
+                            std::uint64_t base_seed = 1, const ParallelOptions& parallel = {});
 
 // ---------------------------------------------------------------------------------------
 // Chaos sweeps: matched fault-on / fault-off runs that calibrate the anomaly detector
@@ -154,6 +176,14 @@ struct ChaosTrialOutcome {
 
   // Flight-ring evictions during the trial (see TrialReport::flight_evicted).
   std::uint64_t flight_evicted = 0;
+};
+
+// One seed of a chaos sweep: its fault-on run and its matched fault-off run. When the
+// fault-on run was skipped (a quarantined supervised row), the fault-off run never
+// happened and `off` stays default.
+struct ChaosSeedPair {
+  ChaosTrialOutcome on;
+  ChaosTrialOutcome off;
 };
 
 // Aggregate of a matched sweep. Every seed is run twice — once with the plan attached,
@@ -212,44 +242,36 @@ struct ChaosSweepOutcome {
 // The trial owns runtime construction; it must attach a FaultInjector for the plan it
 // is given (nullptr = fault-off) and report what fired via ChaosTrialOutcome. A trial
 // that throws is folded in as hung (fault-on) or clean_failure (fault-off), keeping
-// `runs` a common denominator, as with SweepSchedules.
+// `runs` a common denominator, as with SweepSchedules. `parallel` as for
+// SweepSchedules.
 ChaosSweepOutcome SweepChaos(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t base_seed = 1);
-
-// Parallel overload, same contract as the SweepSchedules one: bit-identical to the
-// serial chaos sweep at any worker count, serial fallback at parallel.jobs == 1.
-ChaosSweepOutcome SweepChaos(
-    int num_seeds,
-    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& parallel);
+    const FaultPlan& plan, std::uint64_t base_seed = 1,
+    const ParallelOptions& parallel = {});
 
 // ---------------------------------------------------------------------------------------
-// Shared per-seed accumulation and chunk-merge steps. Every sweep above runs on the
-// parallel engine (the serial overloads are its jobs == 1 path, one seed after another
-// on the calling thread). It folds every seed through AccumulateTrial/
-// AccumulateChaosTrial — per contiguous chunk when it shards — and reduces the chunk
-// outcomes in chunk order with MergeOutcome/MergeChaosOutcome. Keeping every path on
-// one accumulation routine is what makes "bit-identical to the serial sweep" a
-// structural property rather than a hope.
+// The run and fold steps every sweep above is built from. The engine calls the run step
+// once per seed, on any worker; the fold step then sees every seed exactly once, in
+// seed order, after the join.
 namespace sweep_internal {
 
-// Runs trial(seed) — folding an escaping exception into a "trial aborted" failure so
-// the rate denominators never desynchronize — and accumulates the report into
-// `outcome` exactly as the serial loop does.
-void AccumulateTrial(const std::function<TrialReport(std::uint64_t)>& trial,
-                     std::uint64_t seed, SweepOutcome& outcome);
+// Run step: trial(seed), with an escaping exception turned into a "trial aborted"
+// failure, so the rate denominators never desynchronize.
+TrialReport RunTrial(const std::function<TrialReport(std::uint64_t)>& trial,
+                     std::uint64_t seed);
 
-// Appends `chunk` (the outcome of a contiguous seed range) onto `into` (the outcome of
-// the contiguous range immediately before it). Associative over adjacent ranges.
-void MergeOutcome(SweepOutcome& into, SweepOutcome&& chunk);
+// Fold step: accumulates one seed's report into `outcome`.
+void AccumulateTrial(TrialReport report, std::uint64_t seed, SweepOutcome& outcome);
 
-// Chaos equivalents: one seed contributes a matched fault-on + fault-off pair.
-void AccumulateChaosTrial(
+// Chaos equivalents. The run step runs the fault-on trial, then — unless it was
+// skipped — the matched fault-off trial, each with the exception catch above
+// (an escaping exception becomes a hung run).
+ChaosSeedPair RunChaosSeed(
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
-    const FaultPlan& plan, std::uint64_t seed, ChaosSweepOutcome& outcome);
-void MergeChaosOutcome(ChaosSweepOutcome& into, ChaosSweepOutcome&& chunk);
+    const FaultPlan& plan, std::uint64_t seed);
+void AccumulateChaosTrial(ChaosSeedPair pair, std::uint64_t seed,
+                          ChaosSweepOutcome& outcome);
 
 }  // namespace sweep_internal
 

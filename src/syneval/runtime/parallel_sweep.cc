@@ -70,69 +70,77 @@ int AutoChunkSeeds(int num_seeds, int jobs) {
 // seed range identically under any --jobs, so the layout is pinned instead.
 constexpr int kCheckpointChunkSeeds = 16;
 
-// Generic pool driver shared by the schedule and chaos sweeps. RunSeed accumulates one
-// seed into an Outcome chunk; Merge folds a later chunk onto an earlier one. Partial
-// outcomes are indexed by chunk and merged in chunk order after the join, which is
-// what makes the result independent of worker count and steal order.
-template <typename Outcome, typename RunSeed, typename Merge, typename Encode,
-          typename Decode>
-void RunSweepPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& options,
-                  const char* kind, const RunSeed& run_seed, const Merge& merge,
-                  const Encode& encode, const Decode& decode, Outcome* merged,
-                  int* jobs_out, double* wall_seconds,
-                  std::vector<WorkerTelemetry>* telemetry) {
-  const auto sweep_start = std::chrono::steady_clock::now();
-  const int jobs = ResolveJobs(options.jobs);
-  CheckpointStore* const store = options.checkpoint;
-  *jobs_out = jobs;
-
-  if (num_seeds <= 0) {
-    *wall_seconds = SecondsSince(sweep_start);
-    return;
-  }
-
-  // Serial fallback: one job means the caller's thread runs the plain serial loop —
-  // no pool, no queues, nothing for TSan to look at. A checkpointed sweep always
-  // takes the chunked path (still inline, still threadless at jobs == 1) because the
-  // chunk layout is what the store keys on.
-  if ((jobs == 1 || num_seeds == 1) && store == nullptr) {
-    ActiveTrialScope active;  // Feeds the watchdog's load-adaptive threshold.
-    WorkerTelemetry self;
-    self.worker = 0;
-    for (int i = 0; i < num_seeds; ++i) {
-      run_seed(base_seed + static_cast<std::uint64_t>(i), *merged);
-      ++self.trials;
+// A chunk's payload: its seeds' records in seed order, joined by ','. Records carry no
+// raw ',' (SeedCodec), so the join needs no escaping of its own.
+std::string EncodeChunk(const sweep_internal::SeedSlots& slots, int begin, int end) {
+  std::string payload;
+  for (int i = begin; i < end; ++i) {
+    if (i > begin) {
+      payload += ',';
     }
-    self.chunks = 1;
-    self.wall_seconds = SecondsSince(sweep_start);
-    telemetry->push_back(self);
-    *jobs_out = 1;
-    *wall_seconds = self.wall_seconds;
+    payload += slots.encode(i);
+  }
+  return payload;
+}
+
+// Restores seeds [begin, end) from a chunk payload. False — a cache miss — unless the
+// payload holds exactly one decodable record per seed.
+bool RestoreChunk(const sweep_internal::SeedSlots& slots, int begin, int end,
+                  const std::string& payload) {
+  std::size_t pos = 0;
+  for (int i = begin; i < end; ++i) {
+    // Every record but the last ends at a ','; the last one ends the payload.
+    const std::size_t comma = payload.find(',', pos);
+    if ((comma == std::string::npos) != (i + 1 == end) ||
+        !slots.decode(i, payload.substr(pos, comma - pos))) {
+      return false;
+    }
+    pos = comma + 1;
+  }
+  return true;
+}
+
+// The two sweeps' per-seed records (runtime/checkpoint.h).
+constexpr SeedCodec<TrialReport> kTrialCodec{"sweep", EncodeTrialReport,
+                                             DecodeTrialReport};
+constexpr SeedCodec<ChaosSeedPair> kChaosCodec{"chaos", EncodeChaosSeedPair,
+                                               DecodeChaosSeedPair};
+
+}  // namespace
+
+namespace sweep_internal {
+
+void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& options,
+                 const SeedSlots& slots, SweepRun* run) {
+  const auto sweep_start = std::chrono::steady_clock::now();
+  run->jobs = ResolveJobs(options.jobs);
+  if (num_seeds <= 0) {
+    run->wall_seconds = SecondsSince(sweep_start);
     return;
   }
-
+  CheckpointStore* const store = slots.kind != nullptr ? options.checkpoint : nullptr;
   const int chunk_seeds = options.chunk_seeds > 0 ? options.chunk_seeds
                           : store != nullptr     ? kCheckpointChunkSeeds
-                                                 : AutoChunkSeeds(num_seeds, jobs);
+                                                 : AutoChunkSeeds(num_seeds, run->jobs);
   const int num_chunks = (num_seeds + chunk_seeds - 1) / chunk_seeds;
+  const int jobs = run->jobs = std::min(run->jobs, num_chunks);
 
   // Shard: worker w starts with the w-th contiguous block of chunks, so with no
-  // stealing each worker sweeps one contiguous seed range.
+  // stealing each worker sweeps one contiguous seed range (and one worker, all of
+  // them in order).
   std::vector<ChunkQueue> queues(static_cast<std::size_t>(jobs));
   for (int c = 0; c < num_chunks; ++c) {
     queues[static_cast<std::size_t>(static_cast<long long>(c) * jobs / num_chunks)]
         .Push(c);
   }
-
-  std::vector<Outcome> partials(static_cast<std::size_t>(num_chunks));
-  telemetry->assign(static_cast<std::size_t>(jobs), WorkerTelemetry{});
+  run->workers.assign(static_cast<std::size_t>(jobs), WorkerTelemetry{});
 
   auto worker_body = [&](int w) {
     // Each pool worker runs one trial at a time, so registering the worker makes
     // ActiveTrials() ≈ the oversubscription factor the watchdog should scale by.
     ActiveTrialScope active;
     const auto worker_start = std::chrono::steady_clock::now();
-    WorkerTelemetry& shard = (*telemetry)[static_cast<std::size_t>(w)];
+    WorkerTelemetry& shard = run->workers[static_cast<std::size_t>(w)];
     shard.worker = w;
     for (;;) {
       int chunk = -1;
@@ -147,37 +155,30 @@ void RunSweepPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions&
           break;  // Every queue drained; nothing will be produced.
         }
       }
+      shard.steals += stolen ? 1 : 0;
       const int begin = chunk * chunk_seeds;
       const int end = std::min(begin + chunk_seeds, num_seeds);
       std::string key;
-      bool restored = false;
       if (store != nullptr) {
-        key = ChunkKey(options.checkpoint_scope, kind, base_seed, num_seeds,
+        key = ChunkKey(options.checkpoint_scope, slots.kind, base_seed, num_seeds,
                        chunk_seeds, chunk);
         std::string payload;
-        Outcome cached;
-        // A payload that fails to decode (foreign writer, truncated entry the atomic
-        // snapshot should make impossible) is a plain cache miss: re-fold the chunk.
-        if (store->Lookup(key, &payload) && decode(payload, &cached)) {
-          partials[static_cast<std::size_t>(chunk)] = std::move(cached);
-          restored = true;
+        // A payload that fails to decode (foreign writer, an older record version, a
+        // truncated entry the atomic snapshot should make impossible) is a plain cache
+        // miss: the chunk re-runs.
+        if (store->Lookup(key, &payload) && RestoreChunk(slots, begin, end, payload)) {
+          ++shard.cached;
+          continue;
         }
       }
-      if (restored) {
-        ++shard.cached;
-      } else {
-        Outcome part;
-        for (int i = begin; i < end; ++i) {
-          run_seed(base_seed + static_cast<std::uint64_t>(i), part);
-        }
-        if (store != nullptr) {
-          store->Commit(key, encode(part));
-        }
-        partials[static_cast<std::size_t>(chunk)] = std::move(part);
-        shard.trials += end - begin;
-        ++shard.chunks;
+      for (int i = begin; i < end; ++i) {
+        slots.run(i);
       }
-      shard.steals += stolen ? 1 : 0;
+      if (store != nullptr) {
+        store->Commit(key, EncodeChunk(slots, begin, end));
+      }
+      shard.trials += end - begin;
+      ++shard.chunks;
     }
     shard.wall_seconds = SecondsSince(worker_start);
   };
@@ -191,19 +192,13 @@ void RunSweepPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions&
   for (std::thread& thread : pool) {
     thread.join();
   }
-
-  // Deterministic merge: chunk order == seed order, regardless of which worker
-  // computed which chunk.
-  for (Outcome& part : partials) {
-    merge(*merged, std::move(part));
-  }
   if (store != nullptr) {
     store->Flush();  // Final snapshot: a re-run of this sweep is all cache hits.
   }
-  *wall_seconds = SecondsSince(sweep_start);
+  run->wall_seconds = SecondsSince(sweep_start);
 }
 
-}  // namespace
+}  // namespace sweep_internal
 
 int ResolveJobs(int jobs) {
   if (jobs > 0) {
@@ -228,54 +223,39 @@ int ResolveJobs(int jobs) {
 ParallelSweepResult ParallelSweepSchedules(
     int num_seeds, const std::function<TrialReport(std::uint64_t)>& trial,
     std::uint64_t base_seed, const ParallelOptions& options) {
+  SeedSweep<TrialReport> sweep = SweepSeeds<TrialReport>(
+      num_seeds, base_seed, options,
+      [&trial](std::uint64_t seed) { return sweep_internal::RunTrial(trial, seed); },
+      &kTrialCodec);
   ParallelSweepResult result;
-  RunSweepPool<SweepOutcome>(
-      num_seeds, base_seed, options, "sweep",
-      [&trial](std::uint64_t seed, SweepOutcome& outcome) {
-        sweep_internal::AccumulateTrial(trial, seed, outcome);
-      },
-      [](SweepOutcome& into, SweepOutcome&& chunk) {
-        sweep_internal::MergeOutcome(into, std::move(chunk));
-      },
-      [](const SweepOutcome& outcome) { return EncodeOutcome(outcome); },
-      [](const std::string& payload, SweepOutcome* out) {
-        return DecodeOutcome(payload, out);
-      },
-      &result.outcome, &result.jobs, &result.wall_seconds, &result.workers);
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    sweep_internal::AccumulateTrial(std::move(sweep.results[i]), base_seed + i,
+                                    result.outcome);
+  }
+  result.jobs = sweep.jobs;
+  result.wall_seconds = sweep.wall_seconds;
+  result.workers = std::move(sweep.workers);
   return result;
-}
-
-ParallelSweepResult ParallelSweepSchedules(
-    int num_seeds, const std::function<std::string(std::uint64_t)>& trial,
-    std::uint64_t base_seed, const ParallelOptions& options) {
-  return ParallelSweepSchedules(
-      num_seeds,
-      [&trial](std::uint64_t seed) {
-        TrialReport report;
-        report.message = trial(seed);
-        return report;
-      },
-      base_seed, options);
 }
 
 ParallelChaosResult ParallelSweepChaos(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
     const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& options) {
+  SeedSweep<ChaosSeedPair> sweep = SweepSeeds<ChaosSeedPair>(
+      num_seeds, base_seed, options,
+      [&trial, &plan](std::uint64_t seed) {
+        return sweep_internal::RunChaosSeed(trial, plan, seed);
+      },
+      &kChaosCodec);
   ParallelChaosResult result;
-  RunSweepPool<ChaosSweepOutcome>(
-      num_seeds, base_seed, options, "chaos",
-      [&trial, &plan](std::uint64_t seed, ChaosSweepOutcome& outcome) {
-        sweep_internal::AccumulateChaosTrial(trial, plan, seed, outcome);
-      },
-      [](ChaosSweepOutcome& into, ChaosSweepOutcome&& chunk) {
-        sweep_internal::MergeChaosOutcome(into, std::move(chunk));
-      },
-      [](const ChaosSweepOutcome& outcome) { return EncodeChaosOutcome(outcome); },
-      [](const std::string& payload, ChaosSweepOutcome* out) {
-        return DecodeChaosOutcome(payload, out);
-      },
-      &result.outcome, &result.jobs, &result.wall_seconds, &result.workers);
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    sweep_internal::AccumulateChaosTrial(std::move(sweep.results[i]), base_seed + i,
+                                         result.outcome);
+  }
+  result.jobs = sweep.jobs;
+  result.wall_seconds = sweep.wall_seconds;
+  result.workers = std::move(sweep.workers);
   return result;
 }
 

@@ -16,6 +16,7 @@
 #include "syneval/runtime/checkpoint.h"
 #include "syneval/runtime/deadline.h"
 #include "syneval/runtime/os_runtime.h"
+#include "syneval/runtime/parallel_sweep.h"
 #include "syneval/telemetry/flight_recorder.h"
 #include "syneval/telemetry/metrics.h"
 #include "syneval/telemetry/postmortem.h"
@@ -632,21 +633,33 @@ SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
   report.cells.reserve(cells.size());
   for (const SupervisedCell& cell : cells) {
     SupervisedRowState row;
-    SupervisedCellResult cr;
-    cr.id = cell.id;
-    for (int i = 0; i < num_seeds; ++i) {
-      const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
-      const std::optional<SupervisedTrialResult> trial = SuperviseSeed(
+    // One engine sweep per cell, at one job: seeds run in order on this thread, so
+    // once the row is quarantined every remaining seed yields "not run".
+    const std::function<std::optional<TrialReport>(std::uint64_t)> supervised =
+        [&](std::uint64_t seed) -> std::optional<TrialReport> {
+      std::optional<SupervisedTrialResult> trial = SuperviseSeed(
           row, options, [&] { return RunSeededAttempt(cell.trial, seed, options); });
       if (!trial) {
-        break;  // Quarantined: the remaining seeds are skipped.
+        return std::nullopt;
       }
-      // Same accumulation the plain sweeps run, so a healthy cell's outcome is
-      // bit-identical to an unsupervised sweep of it.
-      sweep_internal::AccumulateTrial(
-          [&trial](std::uint64_t) { return trial->report; }, seed, cr.outcome);
-      ++cr.completed_seeds;
+      return std::move(trial->report);
+    };
+    SupervisedCellResult cr;
+    cr.id = cell.id;
+    cr.base_seed = base_seed;
+    SeedSweep<std::optional<TrialReport>> sweep =
+        SweepSeeds(num_seeds, base_seed, ParallelOptions{}, supervised);
+    for (std::optional<TrialReport>& report : sweep.results) {
+      if (report) {
+        cr.reports.push_back(std::move(*report));
+      }
     }
+    // The plain sweeps' fold, so a healthy cell's outcome is bit-identical to an
+    // unsupervised sweep of it.
+    for (std::size_t i = 0; i < cr.reports.size(); ++i) {
+      sweep_internal::AccumulateTrial(cr.reports[i], base_seed + i, cr.outcome);
+    }
+    cr.completed_seeds = static_cast<int>(cr.reports.size());
     static_cast<SupervisionVerdict&>(cr) = row;
     report.totals += cr.stats;
     report.cells.push_back(std::move(cr));
@@ -668,8 +681,9 @@ SweepOutcome SupervisedSweepReport::MergedHealthyOutcome() const {
     if (cell.quarantined) {
       continue;
     }
-    SweepOutcome copy = cell.outcome;
-    sweep_internal::MergeOutcome(merged, std::move(copy));
+    for (std::size_t i = 0; i < cell.reports.size(); ++i) {
+      sweep_internal::AccumulateTrial(cell.reports[i], cell.base_seed + i, merged);
+    }
   }
   return merged;
 }

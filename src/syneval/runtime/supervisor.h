@@ -277,10 +277,13 @@ struct SupervisedCell {
 
 struct SupervisedCellResult : SupervisionVerdict {
   std::string id;
-  // Folded through the same sweep_internal accumulation as every other sweep, so a
-  // healthy cell's outcome is bit-identical to an unsupervised sweep of it.
+  // The reports of the seeds run before quarantine: reports[i] is seed base_seed + i.
+  std::uint64_t base_seed = 1;
+  std::vector<TrialReport> reports;
+  // `reports` folded by the same sweep_internal::AccumulateTrial as every other
+  // sweep, so a healthy cell's outcome is bit-identical to an unsupervised sweep of it.
   SweepOutcome outcome;
-  int completed_seeds = 0;  // Seeds folded before quarantine (== runs).
+  int completed_seeds = 0;  // Seeds run before quarantine (== runs).
 };
 
 struct SupervisedSweepReport {
@@ -289,7 +292,7 @@ struct SupervisedSweepReport {
 
   int QuarantinedCells() const;
 
-  // Merge of the non-quarantined cells' outcomes in cell order — the "remaining
+  // The non-quarantined cells' reports folded in (cell, seed) order — the "remaining
   // seeds" aggregate, bit-identical to a clean sweep over the same cells.
   SweepOutcome MergedHealthyOutcome() const;
 
@@ -302,10 +305,12 @@ struct SupervisedSweepReport {
 };
 
 // Sweeps seeds base_seed .. base_seed + num_seeds - 1 over every cell under
-// supervision, quarantining cells per `options.quarantine_after`. Cells run in input
-// order, seeds in seed order (supervised cells are the risky minority — OsRuntime,
-// chaos, soak — and their trials own real threads already; the deterministic bulk
-// belongs in ParallelSweepSchedules).
+// supervision, quarantining cells per `options.quarantine_after`; a quarantined cell's
+// remaining seeds are not run. Each cell is one sweep engine run (parallel_sweep.h) at
+// one job of a SuperviseSeed decorator around its trial, so cells run in input order
+// and seeds in seed order (supervised cells are the risky minority — OsRuntime, chaos,
+// soak — and their trials own real threads already; the deterministic bulk belongs in
+// ParallelSweepSchedules).
 SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
                                      int num_seeds, std::uint64_t base_seed,
                                      const SupervisorOptions& options);

@@ -3,6 +3,7 @@
 // resumed from a checkpoint merges bit-identical to an uninterrupted run, including
 // after a SIGKILL mid-sweep (fork-based test, POSIX and non-sanitized builds only).
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -65,130 +66,152 @@ TEST(CheckpointEscapeTest, RoundTripsStructureCharacters) {
 
 // ---- Codecs ---------------------------------------------------------------------------
 
-SweepOutcome FullOutcome() {
-  SweepOutcome o;
-  o.runs = 7;
-  o.passes = 4;
-  o.failures = 3;
-  o.failing_seeds = {2, 5, 6};
-  o.first_failure = "seed 2: item=7 expected;newline\nand tab\tend";
-  o.anomalies.deadlocks = 1;
-  o.anomalies.lost_wakeups = 2;
-  o.anomalies.stuck_waiters = 3;
-  o.anomalies.starvations = 4;
-  o.anomalous_seeds = {2, 6};
-  o.first_anomaly = "seed 2: deadlock = wait-for cycle";
-  o.postmortems.push_back({2, "deadlock", "postmortem: deadlock\n  seq=1 t1 block\n"});
-  o.postmortems.push_back({6, "lost-signal", "narrative with = and ; and \\"});
-  o.postmortems_total = 3;
-  o.flight_evicted = 99;
-  return o;
+// Replaces the one `field` of an encoded record ("key=value") with `replacement`.
+std::string ReplaceField(std::string payload, const std::string& field,
+                         const std::string& replacement) {
+  const std::size_t at = payload.find(field);
+  EXPECT_NE(at, std::string::npos) << field << " not in " << payload;
+  return at == std::string::npos ? payload : payload.replace(at, field.size(), replacement);
 }
 
-TEST(CheckpointCodecTest, SweepOutcomeRoundTripsEveryField) {
-  const SweepOutcome o = FullOutcome();
-  SweepOutcome back;
-  ASSERT_TRUE(DecodeOutcome(EncodeOutcome(o), &back));
-  EXPECT_EQ(back.runs, o.runs);
-  EXPECT_EQ(back.passes, o.passes);
-  EXPECT_EQ(back.failures, o.failures);
-  EXPECT_EQ(back.failing_seeds, o.failing_seeds);
-  EXPECT_EQ(back.first_failure, o.first_failure);
-  EXPECT_EQ(back.anomalies.deadlocks, o.anomalies.deadlocks);
-  EXPECT_EQ(back.anomalies.lost_wakeups, o.anomalies.lost_wakeups);
-  EXPECT_EQ(back.anomalies.stuck_waiters, o.anomalies.stuck_waiters);
-  EXPECT_EQ(back.anomalies.starvations, o.anomalies.starvations);
-  EXPECT_EQ(back.anomalous_seeds, o.anomalous_seeds);
-  EXPECT_EQ(back.first_anomaly, o.first_anomaly);
-  ASSERT_EQ(back.postmortems.size(), o.postmortems.size());
-  for (std::size_t i = 0; i < o.postmortems.size(); ++i) {
-    EXPECT_EQ(back.postmortems[i].seed, o.postmortems[i].seed);
-    EXPECT_EQ(back.postmortems[i].cause, o.postmortems[i].cause);
-    EXPECT_EQ(back.postmortems[i].text, o.postmortems[i].text);
-  }
-  EXPECT_EQ(back.postmortems_total, o.postmortems_total);
-  EXPECT_EQ(back.flight_evicted, o.flight_evicted);
-}
-
-TEST(CheckpointCodecTest, EmptyOutcomeRoundTrips) {
-  SweepOutcome back;
-  back.runs = 42;  // Must be overwritten.
-  ASSERT_TRUE(DecodeOutcome(EncodeOutcome(SweepOutcome{}), &back));
-  EXPECT_EQ(back.runs, 0);
-  EXPECT_TRUE(back.failing_seeds.empty());
-  EXPECT_TRUE(back.postmortems.empty());
-}
-
-TEST(CheckpointCodecTest, ChaosOutcomeRoundTripsEveryField) {
-  ChaosSweepOutcome o;
-  o.runs = 9;
-  o.skipped = 3;
-  o.injected_runs = 8;
-  o.harmful = 5;
-  o.detected_harmful = 4;
-  o.absorbed = 2;
-  o.corrupted = 1;
-  o.clean_anomalies = 1;
-  o.clean_failures = 2;
-  o.detection_steps_total = 1234567890123ULL;
-  o.missed_seeds = {3};
-  o.fp_seeds = {1, 9};
-  o.postmortems.push_back({4, "lost-signal", "text;with=structure,chars\\\n"});
-  o.postmortems_total = 6;
-  o.postmortem_causes = {{"lost-signal", 4}, {"dead=lock;odd", 2}};
-  o.flight_evicted = 17;
-  ChaosSweepOutcome back;
-  ASSERT_TRUE(DecodeChaosOutcome(EncodeChaosOutcome(o), &back));
-  EXPECT_EQ(back.runs, o.runs);
-  EXPECT_EQ(back.skipped, o.skipped);
-  EXPECT_EQ(back.injected_runs, o.injected_runs);
-  EXPECT_EQ(back.harmful, o.harmful);
-  EXPECT_EQ(back.detected_harmful, o.detected_harmful);
-  EXPECT_EQ(back.absorbed, o.absorbed);
-  EXPECT_EQ(back.corrupted, o.corrupted);
-  EXPECT_EQ(back.clean_anomalies, o.clean_anomalies);
-  EXPECT_EQ(back.clean_failures, o.clean_failures);
-  EXPECT_EQ(back.detection_steps_total, o.detection_steps_total);
-  EXPECT_EQ(back.missed_seeds, o.missed_seeds);
-  EXPECT_EQ(back.fp_seeds, o.fp_seeds);
-  ASSERT_EQ(back.postmortems.size(), 1u);
-  EXPECT_EQ(back.postmortems[0].text, o.postmortems[0].text);
-  EXPECT_EQ(back.postmortems_total, o.postmortems_total);
-  EXPECT_EQ(back.postmortem_causes, o.postmortem_causes);
-  EXPECT_EQ(back.flight_evicted, o.flight_evicted);
-}
-
-TEST(CheckpointCodecTest, TrialReportRoundTrips) {
+TrialReport FullReport() {
   TrialReport r;
-  r.message = "oracle: consumed 3 != produced 4\twith tab";
-  r.anomalies.stuck_waiters = 2;
-  r.anomaly_report = "[stuck-waiter @7] t1 stuck";
+  r.message = "oracle: consumed 3 != produced 4\twith tab;item=7\nand newline";
+  r.anomalies.deadlocks = 1;
+  r.anomalies.lost_wakeups = 2;
+  r.anomalies.stuck_waiters = 3;
+  r.anomalies.starvations = 4;
+  r.anomaly_report = "[stuck-waiter @7] t1 stuck, t2 = blocked";
   r.postmortem_cause = "stuck-waiter";
-  r.postmortem = "line1\nline2; k=v\n";
+  r.postmortem = "line1\nline2; k=v\n narrative with , and \\";
   r.flight_evicted = 5;
-  TrialReport back;
-  ASSERT_TRUE(DecodeTrialReport(EncodeTrialReport(r), &back));
-  EXPECT_EQ(back.message, r.message);
-  EXPECT_EQ(back.anomalies.stuck_waiters, 2);
-  EXPECT_EQ(back.anomaly_report, r.anomaly_report);
-  EXPECT_EQ(back.postmortem_cause, r.postmortem_cause);
-  EXPECT_EQ(back.postmortem, r.postmortem);
-  EXPECT_EQ(back.flight_evicted, 5u);
+  return r;
 }
 
-TEST(CheckpointCodecTest, MalformedPayloadsAreRejected) {
-  SweepOutcome out;
-  out.runs = 7;
-  EXPECT_FALSE(DecodeOutcome("", &out));
-  EXPECT_FALSE(DecodeOutcome("not a record at all", &out));
-  EXPECT_EQ(out.runs, 7);  // Left untouched on failure.
-  // Kind confusion: a sweep payload never decodes as a chaos outcome or vice versa.
-  ChaosSweepOutcome chaos;
-  EXPECT_FALSE(DecodeChaosOutcome(EncodeOutcome(FullOutcome()), &chaos));
-  SweepOutcome sweep;
-  EXPECT_FALSE(DecodeOutcome(EncodeChaosOutcome(ChaosSweepOutcome{}), &sweep));
+void ExpectSameReport(const TrialReport& a, const TrialReport& b) {
+  EXPECT_EQ(a.message, b.message);
+  EXPECT_EQ(a.anomalies.deadlocks, b.anomalies.deadlocks);
+  EXPECT_EQ(a.anomalies.lost_wakeups, b.anomalies.lost_wakeups);
+  EXPECT_EQ(a.anomalies.stuck_waiters, b.anomalies.stuck_waiters);
+  EXPECT_EQ(a.anomalies.starvations, b.anomalies.starvations);
+  EXPECT_EQ(a.anomaly_report, b.anomaly_report);
+  EXPECT_EQ(a.postmortem_cause, b.postmortem_cause);
+  EXPECT_EQ(a.postmortem, b.postmortem);
+  EXPECT_EQ(a.flight_evicted, b.flight_evicted);
+}
+
+ChaosTrialOutcome FullChaosRun(bool fault_on) {
+  ChaosTrialOutcome run;
+  run.completed = !fault_on;
+  run.hung = fault_on;
+  run.skipped = false;
+  run.oracle_failed = !fault_on;
+  run.injected = fault_on ? 3 : 0;
+  run.first_injection_step = fault_on ? 1234567890123ULL : 0;
+  run.steps = 9876543210ULL;
+  run.anomalies = 2;
+  run.report = "hung: t1 waits on t2;t2=blocked,\tforever\n";
+  run.postmortem_cause = fault_on ? "lost-signal" : "dead=lock;odd";
+  run.postmortem = "text;with=structure,chars\\\n";
+  run.flight_evicted = 17;
+  return run;
+}
+
+void ExpectSameRun(const ChaosTrialOutcome& a, const ChaosTrialOutcome& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.hung, b.hung);
+  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.oracle_failed, b.oracle_failed);
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_EQ(a.first_injection_step, b.first_injection_step);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.anomalies, b.anomalies);
+  EXPECT_EQ(a.report, b.report);
+  EXPECT_EQ(a.postmortem_cause, b.postmortem_cause);
+  EXPECT_EQ(a.postmortem, b.postmortem);
+  EXPECT_EQ(a.flight_evicted, b.flight_evicted);
+}
+
+TEST(CheckpointCodecTest, TrialReportRoundTripsEveryField) {
+  const TrialReport r = FullReport();
+  const std::string record = EncodeTrialReport(r);
+  // Records join into chunk payloads with ',', so none may carry a raw one.
+  EXPECT_EQ(record.find(','), std::string::npos);
+  TrialReport back;
+  ASSERT_TRUE(DecodeTrialReport(record, &back));
+  ExpectSameReport(back, r);
+}
+
+TEST(CheckpointCodecTest, EmptyRecordsRoundTrip) {
+  TrialReport back = FullReport();  // Every field must be overwritten.
+  ASSERT_TRUE(DecodeTrialReport(EncodeTrialReport(TrialReport{}), &back));
+  ExpectSameReport(back, TrialReport{});
+
+  ChaosSeedPair pair_back;
+  pair_back.on = FullChaosRun(true);
+  pair_back.off = FullChaosRun(false);
+  ASSERT_TRUE(DecodeChaosSeedPair(EncodeChaosSeedPair(ChaosSeedPair{}), &pair_back));
+  ExpectSameRun(pair_back.on, ChaosTrialOutcome{});
+  ExpectSameRun(pair_back.off, ChaosTrialOutcome{});
+}
+
+TEST(CheckpointCodecTest, ChaosSeedPairRoundTripsEveryField) {
+  ChaosSeedPair pair;
+  pair.on = FullChaosRun(true);
+  pair.off = FullChaosRun(false);
+  const std::string record = EncodeChaosSeedPair(pair);
+  EXPECT_EQ(record.find(','), std::string::npos);
+  ChaosSeedPair back;
+  ASSERT_TRUE(DecodeChaosSeedPair(record, &back));
+  ExpectSameRun(back.on, pair.on);
+  ExpectSameRun(back.off, pair.off);
+
+  // A skipped seed: the fault-on run carries only the flag, the fault-off run is empty.
+  ChaosSeedPair skipped;
+  skipped.on.skipped = true;
+  ASSERT_TRUE(DecodeChaosSeedPair(EncodeChaosSeedPair(skipped), &back));
+  EXPECT_TRUE(back.on.skipped);
+  ExpectSameRun(back.off, ChaosTrialOutcome{});
+}
+
+TEST(CheckpointCodecTest, MalformedRecordsAreRejected) {
   TrialReport report;
-  EXPECT_FALSE(DecodeTrialReport("v=sweep1", &report));
+  report.message = "untouched";
+  EXPECT_FALSE(DecodeTrialReport("", &report));
+  EXPECT_FALSE(DecodeTrialReport("not a record at all", &report));
+  EXPECT_FALSE(DecodeTrialReport("v=trial1", &report));  // Every field is required.
+  EXPECT_EQ(report.message, "untouched");  // Left untouched on failure.
+  ChaosSeedPair pair;
+  pair.on.steps = 7;
+  EXPECT_FALSE(DecodeChaosSeedPair("", &pair));
+  EXPECT_FALSE(DecodeChaosSeedPair("v=chaospair1", &pair));
+  EXPECT_EQ(pair.on.steps, 7u);
+  // Kind confusion: a trial record never decodes as a chaos pair or vice versa.
+  EXPECT_FALSE(DecodeChaosSeedPair(EncodeTrialReport(FullReport()), &pair));
+  EXPECT_FALSE(DecodeTrialReport(EncodeChaosSeedPair(ChaosSeedPair{}), &report));
+  // A bool is "0" or "1", nothing else.
+  const std::string record = EncodeChaosSeedPair(ChaosSeedPair{});
+  for (const char* bad : {"on.hung=2", "on.hung=", "on.hung=true", "on.hung=-1"}) {
+    EXPECT_FALSE(DecodeChaosSeedPair(ReplaceField(record, "on.hung=0", bad), &pair)) << bad;
+  }
+}
+
+// A record under another version tag — an older writer's per-chunk aggregate, or a
+// future record layout — is a cache miss, never misread.
+TEST(CheckpointCodecTest, WrongVersionTagIsRejected) {
+  TrialReport report;
+  const std::string trial = EncodeTrialReport(FullReport());
+  ASSERT_TRUE(DecodeTrialReport(trial, &report));
+  for (const char* tag : {"v=trial2", "v=sweep1", "v=", "v=chaospair1"}) {
+    EXPECT_FALSE(DecodeTrialReport(ReplaceField(trial, "v=trial1", tag), &report)) << tag;
+  }
+  ChaosSeedPair pair;
+  const std::string chaos = EncodeChaosSeedPair(ChaosSeedPair{});
+  ASSERT_TRUE(DecodeChaosSeedPair(chaos, &pair));
+  for (const char* tag : {"v=chaospair2", "v=chaos2", "v=chaos1", "v=trial1"}) {
+    EXPECT_FALSE(DecodeChaosSeedPair(ReplaceField(chaos, "v=chaospair1", tag), &pair))
+        << tag;
+  }
 }
 
 TEST(CheckpointCodecTest, ExtremeValuesRoundTripLosslessly) {
@@ -197,63 +220,31 @@ TEST(CheckpointCodecTest, ExtremeValuesRoundTripLosslessly) {
   constexpr int kMaxInt = std::numeric_limits<int>::max();
   constexpr int kMinInt = std::numeric_limits<int>::min();
 
-  SweepOutcome sweep = FullOutcome();
-  sweep.runs = kMaxInt;
-  sweep.failures = kMinInt;
-  sweep.anomalies.deadlocks = kMaxInt;
-  sweep.anomalies.starvations = kMinInt;
-  sweep.failing_seeds = {0, kHighBit, kMaxU64};
-  sweep.postmortems.push_back({kMaxU64, "deadlock", "text"});
-  sweep.flight_evicted = kHighBit;
-  SweepOutcome sweep_back;
-  ASSERT_TRUE(DecodeOutcome(EncodeOutcome(sweep), &sweep_back));
-  EXPECT_EQ(sweep_back.runs, kMaxInt);
-  EXPECT_EQ(sweep_back.failures, kMinInt);
-  EXPECT_EQ(sweep_back.anomalies.deadlocks, kMaxInt);
-  EXPECT_EQ(sweep_back.anomalies.starvations, kMinInt);
-  EXPECT_EQ(sweep_back.failing_seeds, sweep.failing_seeds);
-  ASSERT_EQ(sweep_back.postmortems.size(), sweep.postmortems.size());
-  EXPECT_EQ(sweep_back.postmortems.back().seed, kMaxU64);
-  EXPECT_EQ(sweep_back.flight_evicted, kHighBit);
-
-  ChaosSweepOutcome chaos;
-  chaos.runs = kMaxInt;
-  chaos.harmful = kMinInt;
-  chaos.detection_steps_total = kMaxU64;
-  chaos.missed_seeds = {kMaxU64};
-  chaos.fp_seeds = {kHighBit};
-  chaos.postmortems.push_back({kMaxU64, "lost-signal", "text"});
-  chaos.postmortem_causes = {{"lost-signal", kMaxInt}};
-  chaos.flight_evicted = kHighBit;
-  ChaosSweepOutcome chaos_back;
-  ASSERT_TRUE(DecodeChaosOutcome(EncodeChaosOutcome(chaos), &chaos_back));
-  EXPECT_EQ(chaos_back.runs, kMaxInt);
-  EXPECT_EQ(chaos_back.harmful, kMinInt);
-  EXPECT_EQ(chaos_back.detection_steps_total, kMaxU64);
-  EXPECT_EQ(chaos_back.missed_seeds, chaos.missed_seeds);
-  EXPECT_EQ(chaos_back.fp_seeds, chaos.fp_seeds);
-  ASSERT_EQ(chaos_back.postmortems.size(), 1u);
-  EXPECT_EQ(chaos_back.postmortems[0].seed, kMaxU64);
-  EXPECT_EQ(chaos_back.postmortem_causes, chaos.postmortem_causes);
-  EXPECT_EQ(chaos_back.flight_evicted, kHighBit);
-
   TrialReport report;
+  report.anomalies.deadlocks = kMaxInt;
   report.anomalies.lost_wakeups = kMaxInt;
   report.anomalies.stuck_waiters = kMinInt;
+  report.anomalies.starvations = kMinInt;
   report.flight_evicted = kMaxU64;
   TrialReport report_back;
   ASSERT_TRUE(DecodeTrialReport(EncodeTrialReport(report), &report_back));
-  EXPECT_EQ(report_back.anomalies.lost_wakeups, kMaxInt);
-  EXPECT_EQ(report_back.anomalies.stuck_waiters, kMinInt);
-  EXPECT_EQ(report_back.flight_evicted, kMaxU64);
-}
+  ExpectSameReport(report_back, report);
 
-// Replaces the one `field` of an encoded record ("key=value") with `replacement`.
-std::string ReplaceField(std::string payload, const std::string& field,
-                         const std::string& replacement) {
-  const std::size_t at = payload.find(field);
-  EXPECT_NE(at, std::string::npos) << field << " not in " << payload;
-  return at == std::string::npos ? payload : payload.replace(at, field.size(), replacement);
+  ChaosSeedPair pair;
+  pair.on.injected = kMaxInt;
+  pair.on.anomalies = kMinInt;
+  pair.on.first_injection_step = kHighBit;
+  pair.on.steps = kMaxU64;
+  pair.on.flight_evicted = kMaxU64;
+  pair.off.injected = kMinInt;
+  pair.off.anomalies = kMaxInt;
+  pair.off.first_injection_step = kMaxU64;
+  pair.off.steps = kHighBit;
+  pair.off.flight_evicted = kHighBit;
+  ChaosSeedPair pair_back;
+  ASSERT_TRUE(DecodeChaosSeedPair(EncodeChaosSeedPair(pair), &pair_back));
+  ExpectSameRun(pair_back.on, pair.on);
+  ExpectSameRun(pair_back.off, pair.off);
 }
 
 TEST(CheckpointCodecTest, OutOfRangeNumbersAreRejected) {
@@ -273,14 +264,18 @@ TEST(CheckpointCodecTest, OutOfRangeNumbersAreRejected) {
   EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "fev=0", "fev=+1"), &out));
   EXPECT_FALSE(DecodeTrialReport(ReplaceField(report, "fev=0", "fev= 1"), &out));
 
-  SweepOutcome sweep;
-  sweep.failing_seeds = {5};
-  const std::string encoded = EncodeOutcome(sweep);
-  SweepOutcome sweep_out;
-  ASSERT_TRUE(DecodeOutcome(encoded, &sweep_out));
-  EXPECT_FALSE(DecodeOutcome(ReplaceField(encoded, "fseeds=5", "fseeds=-5"), &sweep_out));
-  EXPECT_FALSE(DecodeOutcome(
-      ReplaceField(encoded, "fseeds=5", "fseeds=18446744073709551616"), &sweep_out));
+  const std::string chaos = EncodeChaosSeedPair(ChaosSeedPair{});
+  ChaosSeedPair pair;
+  ASSERT_TRUE(DecodeChaosSeedPair(chaos, &pair));
+  EXPECT_FALSE(
+      DecodeChaosSeedPair(ReplaceField(chaos, "on.inj=0", "on.inj=4294967297"), &pair));
+  EXPECT_FALSE(
+      DecodeChaosSeedPair(ReplaceField(chaos, "off.anom=0", "off.anom=-2147483649"), &pair));
+  EXPECT_FALSE(DecodeChaosSeedPair(
+      ReplaceField(chaos, "on.steps=0", "on.steps=18446744073709551616"), &pair));
+  EXPECT_FALSE(
+      DecodeChaosSeedPair(ReplaceField(chaos, "off.first=0", "off.first=-5"), &pair));
+  EXPECT_FALSE(DecodeChaosSeedPair(ReplaceField(chaos, "off.fev=0", "off.fev=+1"), &pair));
 }
 
 TEST(CheckpointCodecTest, ChunkKeyEmbedsEveryLayoutParameter) {
@@ -587,6 +582,48 @@ TEST(CheckpointResumeTest, ResumedSweepMergesBitIdentical) {
     ExpectOutcomesIdentical(other, clean);
     EXPECT_EQ(store.hits(), 0);
   }
+  RemoveStore(path);
+}
+
+// A chunk payload holds exactly one record per seed; anything else — an older
+// writer's per-chunk aggregate ("sweep1") under the same key, or a chunk missing a
+// record — is a cache miss that re-runs that chunk alone and overwrites it.
+TEST(CheckpointResumeTest, ForeignAndShortChunkPayloadsAreCacheMisses) {
+  const std::string path = TempPath("resume_foreign.ckpt");
+  RemoveStore(path);
+  const std::string scope = "checkpoint_test/foreign";
+  const int kSeeds = 40;  // Three chunks of kCheckpointChunkSeeds (16) seeds.
+  const SweepOutcome clean = SweepSchedules(kSeeds, SyntheticTrial, 1);
+  CheckpointStore store(path);
+  ParallelOptions options;
+  options.jobs = 2;
+  options.checkpoint = &store;
+  options.checkpoint_scope = scope;
+  std::atomic<int> live_trials{0};
+  const std::function<TrialReport(std::uint64_t)> counted = [&](std::uint64_t seed) {
+    ++live_trials;
+    return SyntheticTrial(seed);
+  };
+
+  for (int chunk = 0; chunk < 3; ++chunk) {
+    store.Commit(ChunkKey(scope, "sweep", 1, kSeeds, 16, chunk),
+                 "v=sweep1;runs=16;passes=16;failures=0");
+  }
+  ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
+  EXPECT_EQ(live_trials.load(), kSeeds);  // Every chunk re-ran.
+
+  // Drop the last record of chunk 0: only that chunk re-runs.
+  const std::string key0 = ChunkKey(scope, "sweep", 1, kSeeds, 16, 0);
+  std::string payload;
+  ASSERT_TRUE(store.Lookup(key0, &payload));
+  store.Commit(key0, payload.substr(0, payload.rfind(',')));
+  live_trials = 0;
+  ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
+  EXPECT_EQ(live_trials.load(), 16);
+
+  live_trials = 0;
+  ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
+  EXPECT_EQ(live_trials.load(), 0);
   RemoveStore(path);
 }
 

@@ -59,6 +59,18 @@ class DiffTest(unittest.TestCase):
             dict(d["results"][0], metric="stall_recall")))
         self.assertIn("golden=None", diff_golden.diff(GOLDEN, extra)[0])
 
+    def test_drift_in_a_repeated_row_is_a_regression(self):
+        # A mechanism with two solutions to one problem emits two rows with the same
+        # (mechanism, problem, metric); a drift in the first one must not be hidden by
+        # the second.
+        repeated = edited(lambda d: d["results"].append(dict(d["results"][1], value=3)))
+        self.assertEqual(diff_golden.diff(repeated, repeated), [])
+        drifted = copy.deepcopy(repeated)
+        drifted["results"][1]["value"] = 7
+        lines = diff_golden.diff(repeated, drifted)
+        self.assertEqual(len(lines), 1)
+        self.assertIn("golden=0 fresh=7", lines[0])
+
 
 class CommandLineTest(unittest.TestCase):
     def run_script(self, golden, fresh):

@@ -1,11 +1,12 @@
 // Tests for the parallel sweep engine (runtime/parallel_sweep.h): the blocking
 // bit-identity contract — a parallel sweep's outcome must equal the serial sweep of
 // the same seeds field by field, at any worker count, chunk size, or steal order —
-// plus the serial fallback, jobs resolution, worker telemetry accounting, and the
-// counterexample replay sweep built on top of it.
+// plus the one-job path, the postmortem cap, jobs resolution, worker telemetry
+// accounting, and the counterexample replay sweep built on top of it.
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,16 @@ namespace {
 // Field-by-field bit-identity assertion. SweepOutcome deliberately has no
 // operator== in the library; the test spells every field out so a new field that is
 // forgotten here shows up in review, not as a silent hole in the contract.
+void ExpectIdentical(const std::vector<SeedPostmortem>& serial,
+                     const std::vector<SeedPostmortem>& parallel) {
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].seed, parallel[i].seed);
+    EXPECT_EQ(serial[i].cause, parallel[i].cause);
+    EXPECT_EQ(serial[i].text, parallel[i].text);
+  }
+}
+
 void ExpectIdentical(const SweepOutcome& serial, const SweepOutcome& parallel) {
   EXPECT_EQ(serial.runs, parallel.runs);
   EXPECT_EQ(serial.passes, parallel.passes);
@@ -36,10 +47,14 @@ void ExpectIdentical(const SweepOutcome& serial, const SweepOutcome& parallel) {
   EXPECT_EQ(serial.anomalies.lost_wakeups, parallel.anomalies.lost_wakeups);
   EXPECT_EQ(serial.anomalies.stuck_waiters, parallel.anomalies.stuck_waiters);
   EXPECT_EQ(serial.anomalies.starvations, parallel.anomalies.starvations);
+  ExpectIdentical(serial.postmortems, parallel.postmortems);
+  EXPECT_EQ(serial.postmortems_total, parallel.postmortems_total);
+  EXPECT_EQ(serial.flight_evicted, parallel.flight_evicted);
 }
 
 void ExpectIdentical(const ChaosSweepOutcome& serial, const ChaosSweepOutcome& parallel) {
   EXPECT_EQ(serial.runs, parallel.runs);
+  EXPECT_EQ(serial.skipped, parallel.skipped);
   EXPECT_EQ(serial.injected_runs, parallel.injected_runs);
   EXPECT_EQ(serial.harmful, parallel.harmful);
   EXPECT_EQ(serial.detected_harmful, parallel.detected_harmful);
@@ -50,6 +65,10 @@ void ExpectIdentical(const ChaosSweepOutcome& serial, const ChaosSweepOutcome& p
   EXPECT_EQ(serial.detection_steps_total, parallel.detection_steps_total);
   EXPECT_EQ(serial.missed_seeds, parallel.missed_seeds);
   EXPECT_EQ(serial.fp_seeds, parallel.fp_seeds);
+  ExpectIdentical(serial.postmortems, parallel.postmortems);
+  EXPECT_EQ(serial.postmortems_total, parallel.postmortems_total);
+  EXPECT_EQ(serial.postmortem_causes, parallel.postmortem_causes);
+  EXPECT_EQ(serial.flight_evicted, parallel.flight_evicted);
 }
 
 // A conformance case the paper predicts VIOLATES its oracle on some schedules, so the
@@ -80,6 +99,34 @@ TrialReport SyntheticTrial(std::uint64_t seed) {
     throw std::runtime_error("synthetic abort at seed " + std::to_string(seed));
   }
   return report;
+}
+
+// Every even seed leaves a postmortem: 30 of the 60 seeds below, far past the cap.
+TrialReport PostmortemTrial(std::uint64_t seed) {
+  TrialReport report;
+  if (seed % 2 == 0) {
+    report.anomalies.deadlocks = 1;
+    report.postmortem_cause = "deadlock";
+    report.postmortem = "postmortem of seed " + std::to_string(seed);
+  }
+  report.flight_evicted = seed % 3;
+  return report;
+}
+
+ChaosTrialOutcome PostmortemChaosTrial(std::uint64_t seed, const FaultPlan* plan) {
+  ChaosTrialOutcome out;
+  out.completed = plan == nullptr || seed % 2 != 0;
+  out.hung = !out.completed;
+  if (plan != nullptr) {
+    out.injected = 1;
+  }
+  if (out.hung) {
+    out.anomalies = 1;
+    out.postmortem_cause = "lost-signal";
+    out.postmortem = "chaos postmortem of seed " + std::to_string(seed);
+  }
+  out.flight_evicted = seed % 3;
+  return out;
 }
 
 TEST(ParallelSweepTest, BitIdenticalToSerialOnRealAnomalySweep) {
@@ -157,16 +204,61 @@ TEST(ParallelSweepTest, FailingAndAnomalousSeedsStayAscending) {
                              result.outcome.anomalous_seeds.end()));
 }
 
-TEST(ParallelSweepTest, SerialFallbackUsesNoPool) {
-  ParallelOptions options;
-  options.jobs = 1;
+// The cap on stored postmortems is applied once, by the fold: whatever the worker
+// count or chunk size, the stored ones are the first kMaxStoredPostmortems seeds that
+// left one, in seed order, and the total counts every one of them.
+TEST(ParallelSweepTest, PostmortemCapKeepsTheFirstSeedsInOrder) {
+  constexpr int kSeeds = 60;
+  const FaultPlan plan;  // Only its non-nullness matters to the synthetic trial.
+  for (const int jobs : {1, 2, 8}) {
+    for (const int chunk_seeds : {1, 3, 0}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                   " chunk_seeds=" + std::to_string(chunk_seeds));
+      ParallelOptions options;
+      options.jobs = jobs;
+      options.chunk_seeds = chunk_seeds;
+      const SweepOutcome sweep = SweepSchedules(
+          kSeeds, std::function<TrialReport(std::uint64_t)>(PostmortemTrial), 1, options);
+      const ChaosSweepOutcome chaos =
+          SweepChaos(kSeeds, PostmortemChaosTrial, plan, 1, options);
+      EXPECT_EQ(sweep.postmortems_total, kSeeds / 2);
+      EXPECT_EQ(chaos.postmortems_total, kSeeds / 2);
+      ASSERT_EQ(sweep.postmortems.size(), static_cast<std::size_t>(kMaxStoredPostmortems));
+      ASSERT_EQ(chaos.postmortems.size(), static_cast<std::size_t>(kMaxStoredPostmortems));
+      for (int i = 0; i < kMaxStoredPostmortems; ++i) {
+        const std::uint64_t seed = 2 * static_cast<std::uint64_t>(i + 1);
+        EXPECT_EQ(sweep.postmortems[i].seed, seed);
+        EXPECT_EQ(sweep.postmortems[i].text, "postmortem of seed " + std::to_string(seed));
+        EXPECT_EQ(chaos.postmortems[i].seed, seed);
+        EXPECT_EQ(chaos.postmortems[i].text,
+                  "chaos postmortem of seed " + std::to_string(seed));
+      }
+      EXPECT_EQ(chaos.postmortem_causes.at("lost-signal"), kSeeds / 2);
+    }
+  }
+}
+
+// At one job the pool starts no thread: the caller runs every seed, in seed order.
+TEST(ParallelSweepTest, OneJobRunsEverySeedInOrderOnTheCaller) {
+  std::vector<std::uint64_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool off_caller = false;
   const ParallelSweepResult result = ParallelSweepSchedules(
-      50, std::function<TrialReport(std::uint64_t)>(SyntheticTrial), 1, options);
+      50, [&](std::uint64_t seed) {
+        order.push_back(seed);
+        off_caller |= std::this_thread::get_id() != caller;
+        return SyntheticTrial(seed);
+      });
   EXPECT_EQ(result.jobs, 1);
   ASSERT_EQ(result.workers.size(), 1u);
   EXPECT_EQ(result.workers[0].worker, 0);
   EXPECT_EQ(result.workers[0].trials, 50);
   EXPECT_EQ(result.workers[0].steals, 0);
+  EXPECT_FALSE(off_caller);
+  ASSERT_EQ(order.size(), 50u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i + 1);
+  }
 }
 
 TEST(ParallelSweepTest, WorkerTelemetryAccountsForEveryTrial) {
