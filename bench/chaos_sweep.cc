@@ -15,15 +15,15 @@
 // --trace=<path> replays the first flagged trial with the tracer attached and exports
 // a Perfetto trace with the postmortem narrative overlaid as a "postmortem" track.
 //
-// --soak=1 runs the supervised long-soak configuration: every trial executes under a
-// wall-clock deadline (runtime/supervisor.h; default 2s, override with
-// --trial-deadline), catastrophic seeds are retried with backoff and the cell
-// quarantined after repeated failure, seeds default to kSoakSeedsPerCase, and — with
-// --resume — checkpoints are per-seed (chunk_seeds=1) so a SIGKILL anywhere loses at
-// most the seed in flight. Healthy cells produce bit-identical rows to an
-// unsupervised run; quarantined cells are reported (and their gates skipped) instead
-// of hanging the sweep. --trial-deadline=<ms> alone also enables supervision, with
-// the normal seed count and chunk layout.
+// --soak=1 runs the supervised long-soak configuration: seeds default to
+// kSoakSeedsPerCase, each row's fold quarantines it once quarantine_after of its runs
+// crashed (fault/chaos.h: the seeds after that one are skipped, and the row is reported
+// with its gates skipped), and — with --resume — checkpoints are per-seed
+// (chunk_seeds=1) so a SIGKILL anywhere loses at most the seed in flight. Every trial
+// is bounded by its DetRuntime step budget, not by a wall-clock deadline, so the rows,
+// QUARANTINED lines and --quarantine-out file are identical at any --jobs and across
+// --resume; healthy rows equal an unsupervised run's. --trial-deadline is refused:
+// there is no wall-clock supervision to configure.
 
 #include <cstdio>
 #include <map>
@@ -91,17 +91,16 @@ int main(int argc, char** argv) {
                  extras.begin()->first.c_str());
     return 2;
   }
+  if (options.trial_deadline_ms > 0) {
+    std::fprintf(stderr,
+                 "chaos_sweep: --trial-deadline: chaos trials are bounded in steps "
+                 "(--soak=1 supervises)\n");
+    return 2;
+  }
   syneval::bench::Reporter reporter(options);
 
-  // Supervision: on for --soak, or whenever a --trial-deadline was given. The
-  // in-process abort seam reaps wedged trials without losing their injector
-  // telemetry, so a reaped genuine hang still counts toward recall.
   syneval::ChaosSupervision supervision;
-  supervision.enabled = soak || options.trial_deadline_ms > 0;
-  if (options.trial_deadline_ms > 0) {
-    supervision.options.trial_deadline =
-        std::chrono::milliseconds(options.trial_deadline_ms);
-  }
+  supervision.enabled = soak;
 
   // The calibration table is bit-identical at any worker count (one fold in seed order,
   // runtime/parallel_sweep.h), so the golden-file diff is safe under --jobs — and
@@ -197,10 +196,9 @@ int main(int argc, char** argv) {
 
     std::printf("%-18s %-28s %-12s %s\n", row.problem.c_str(), row.display.c_str(),
                 row.fault.c_str(), o.Summary().c_str());
-    // Quarantined cells (supervised sweeps only): the row still carries whatever
-    // seeds completed before quarantine — including reaped genuine hangs, which kept
-    // their injector counts — but its folded metrics are partial, so calibration
-    // gates would misfire. Report the harvested postmortem and move on; the
+    // Quarantined cells (supervised sweeps only): the row carries the seeds folded up
+    // to its quarantine, crashed runs counted as hung, so its metrics are partial and
+    // calibration gates would misfire. Report the last postmortem and move on; the
     // quarantine file carries the details and CI inspects it separately.
     if (row.quarantined) {
       std::printf("  QUARANTINED: %s\n", row.quarantine_reason.c_str());

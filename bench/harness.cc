@@ -26,7 +26,7 @@ void PrintUsage(const std::string& bench_name, std::ostream& os) {
      << "  --jobs=<n>        sweep workers; 0 = auto via SYNEVAL_JOBS/hardware (default 0)\n"
      << "  --seeds=<n>       schedule seeds per sweep; 0 = bench default (default 0)\n"
      << "  --resume=<path>   checkpoint file: restore swept chunks, snapshot new ones\n"
-     << "  --trial-deadline=<ms>  per-trial deadline for supervised benches (0 = off)\n"
+     << "  --trial-deadline=<ms>  per-trial deadline for supervised OsRuntime benches (0 = off)\n"
      << "  --quarantine-out=<path>  write quarantine.json (supervised benches)\n"
      << "  --help            this message\n";
 }

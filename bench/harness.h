@@ -15,8 +15,8 @@
 //                         already run in a previous (possibly killed) run are
 //                         restored instead of re-run; the folded outcome is
 //                         bit-identical to an uninterrupted sweep
-//       --trial-deadline=<ms>  per-trial wall-clock budget for supervised benches
-//                         (runtime/supervisor.h); 0 disables reaping
+//       --trial-deadline=<ms>  per-trial wall-clock budget for supervised OsRuntime
+//                         benches (runtime/supervisor.h); 0 disables reaping
 //       --quarantine-out=<path>  where supervised benches write quarantine.json
 //     Unknown flags are rejected with a usage message so CI typos fail loudly.
 //

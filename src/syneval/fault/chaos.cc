@@ -4,7 +4,6 @@
 #include <chrono>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -63,11 +62,7 @@ ChaosTrialOutcome RunChaosTrial(const CaseEntry& entry, int workload_scale,
   const DetRuntime::RunResult& result = stack.result;
   ChaosTrialOutcome out;
   out.completed = result.completed;
-  // A supervisor-aborted run is a hang for calibration purposes: the reaper only
-  // fires past the wall-clock deadline, and routing the reap through the normal
-  // result keeps its injector counts and diagnosis in the fold — a reaped genuine
-  // hang still counts toward recall instead of vanishing.
-  out.hung = result.deadlocked || result.step_limit || result.aborted;
+  out.hung = result.deadlocked || result.step_limit;
   out.steps = result.steps;
   out.anomalies = stack.detector.counts().total();
   out.flight_evicted = stack.flight.evicted();
@@ -93,6 +88,23 @@ ChaosTrialOutcome RunChaosTrial(const CaseEntry& entry, int workload_scale,
     replay->events = stack.trace.Events();
   }
   return out;
+}
+
+// One chaos run as the quarantine rule sees it: a crashed run is a catastrophic seed.
+void FoldCrash(const ChaosTrialOutcome& run, const SupervisorOptions& options,
+               SupervisionVerdict& verdict) {
+  if (!run.crashed) {
+    return;
+  }
+  SupervisedTrialResult result;
+  result.crashed = result.crash.crashed = true;
+  result.crash.what = run.report;
+  result.report.message = run.report;
+  result.report.postmortem_cause = run.postmortem_cause;
+  result.report.postmortem = run.postmortem;
+  SupervisorStats attempts;
+  attempts.crashed = 1;
+  verdict.Fold(result, attempts, options);
 }
 
 // The calibration's cases, in its row order: per problem, two mechanism families that
@@ -129,10 +141,6 @@ TrialStack::TrialStack(std::uint64_t seed, const FaultPlan* plan,
     injector.emplace(SeededPlan(*plan, seed));
     runtime.AttachFaultInjector(&*injector);
   }
-  // The abort path diagnoses and tears down through Run(), so the fold sees a normal
-  // aborted result.
-  abort_scope.emplace([this] { runtime.RequestAbort(); },
-                      [this] { return ObservePostmortem(flight, detector); });
 }
 
 void TrialStack::Run(const CaseEntry& entry, std::uint64_t seed, int workload_scale) {
@@ -143,44 +151,34 @@ void TrialStack::Run(const CaseEntry& entry, std::uint64_t seed, int workload_sc
   }
 }
 
-// ---- Supervised chaos trials --------------------------------------------------------
-
 namespace chaos_internal {
 
-ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& sup,
-                                    std::shared_ptr<SupervisedRowState> state) {
-  return [inner = std::move(inner), sup, state = std::move(state)](
-             std::uint64_t seed, const FaultPlan* plan) -> ChaosTrialOutcome {
-    ChaosTrialOutcome out;
-    const std::optional<SupervisedTrialResult> last = SuperviseSeed(*state, sup, [&] {
-      out = ChaosTrialOutcome();
-      TrialObservation harvest;
-      SupervisedTrialResult attempt =
-          RunInProcessAttempt(sup, [&] { out = inner(seed, plan); }, &harvest);
-      if (attempt.crashed) {
-        // Synthesize what the unsupervised sweep's catch block would have folded, so
-        // the row's denominators stay in step even on the retry-exhausted path.
-        out = ChaosTrialOutcome();
-        out.hung = true;
-        out.report = "trial aborted: " + attempt.crash.what;
-      } else if (attempt.reaped && out.postmortem.empty() && !harvest.text.empty()) {
-        // The reaped trial still returned through DetRuntime's abort path, so `out`
-        // carries its injector counts, step count, and diagnosis; the reaper's
-        // pre-abort harvest only fills in a missing postmortem.
-        out.postmortem_cause = harvest.cause;
-        out.postmortem = harvest.text;
+ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions&,
+                                    std::shared_ptr<SupervisedRowState>) {
+  return inner;
+}
+
+SweepRun SweepChaosRow(const ChaosTrial& trial, const FaultPlan& plan, int num_seeds,
+                       std::uint64_t base_seed, const ParallelOptions& parallel,
+                       const ChaosSupervision& supervision, ChaosCalibrationRow& row) {
+  SeedSweep<ChaosSeedPair> sweep =
+      SweepChaosSeeds(num_seeds, trial, plan, base_seed, parallel);
+  // The row's one fold, in seed order. Supervised, it is also the quarantine rule: each
+  // crashed run counts once, and the seeds after the one that quarantines the row are
+  // skipped.
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    ChaosSeedPair& pair = sweep.results[i];
+    if (supervision.enabled) {
+      if (row.quarantined) {
+        ++row.outcome.skipped;
+        continue;
       }
-      attempt.report.postmortem_cause = out.postmortem_cause;
-      attempt.report.postmortem = out.postmortem;
-      return attempt;
-    });
-    if (!last) {
-      ChaosTrialOutcome skipped;  // Quarantined row: nothing runs, fault-off included.
-      skipped.skipped = true;
-      return skipped;
+      FoldCrash(pair.on, supervision.options, row);
+      FoldCrash(pair.off, supervision.options, row);
     }
-    return out;
-  };
+    sweep_internal::AccumulateChaosTrial(std::move(pair), base_seed + i, row.outcome);
+  }
+  return sweep;
 }
 
 }  // namespace chaos_internal
@@ -300,24 +298,9 @@ ChaosCalibrationTable RunChaosCalibration(int seeds_per_case, std::uint64_t base
                                    chaos_case.display + "/" + family.name + "/scale" +
                                    std::to_string(workload_scale);
       }
-      ChaosTrial trial = chaos_case.trial;
-      std::shared_ptr<chaos_internal::SupervisedRowState> row_state;
-      if (supervision.enabled) {
-        row_state = std::make_shared<chaos_internal::SupervisedRowState>();
-        trial = chaos_internal::MakeSupervisedChaosTrial(chaos_case.trial,
-                                                         supervision.options, row_state);
-      }
-      ParallelChaosResult sweep =
-          ParallelSweepChaos(seeds_per_case, trial, plan, base_seed, scoped);
-      row.outcome = std::move(sweep.outcome);
-      if (row_state != nullptr) {
-        std::lock_guard<std::mutex> lock(row_state->mu);
-        row.quarantined = row_state->quarantined;
-        row.quarantine_reason = row_state->quarantine_reason;
-        row.last_postmortem_cause = row_state->last_postmortem_cause;
-        row.last_postmortem = row_state->last_postmortem;
-        table.supervisor += row_state->stats;
-      }
+      const SweepRun sweep = chaos_internal::SweepChaosRow(
+          chaos_case.trial, plan, seeds_per_case, base_seed, scoped, supervision, row);
+      table.supervisor += row.stats;
       table.jobs = sweep.jobs;
       MergeWorkerTelemetry(table.workers, sweep.workers);
       table.rows.push_back(std::move(row));

@@ -15,7 +15,8 @@
 //
 // All trials run under DetRuntime with a virtual-step budget, so the whole calibration
 // table is a pure function of (case list, fault plans, seed range): byte-identical
-// across machines, and checked as a golden file in CI (tests/golden/).
+// across machines, and checked as a golden file in CI (tests/golden/). The step budget
+// is the only deadline a chaos trial has; nothing in this suite reads the wall clock.
 
 #ifndef SYNEVAL_FAULT_CHAOS_H_
 #define SYNEVAL_FAULT_CHAOS_H_
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,18 +47,16 @@ namespace syneval {
 
 // One catalogue trial's stack (solutions/cases.h), shared by the conformance suite and
 // the chaos calibration: anomaly detector, trace, flight recorder, a fault injector when
-// a plan is given, the runtime, and the supervision seam. The attachments are declared
-// before the runtime so they outlive it (runtime.h); the case built on the stack is
-// declared last, so its solution and threads go first.
+// a plan is given, and the runtime. The attachments are declared before the runtime so
+// they outlive it (runtime.h); the case built on the stack is declared last, so its
+// solution and threads go first.
 struct TrialStack {
   // The plan's injector seed is re-derived from the schedule seed (see
-  // ChaosFaultFamily). The supervision seam registers once the stack is wired: the
-  // runtime's abort goes to the thread's installed TrialAbortSlot, a no-op on
-  // unsupervised runs (runtime/supervisor.h).
+  // ChaosFaultFamily).
   TrialStack(std::uint64_t seed, const FaultPlan* plan,
              const DetRuntime::Options& runtime_options,
              const FlightRecorder::Options& flight_options);
-  // The attachments and the abort callbacks hold this stack's address.
+  // The attachments hold this stack's address.
   TrialStack(const TrialStack&) = delete;
   TrialStack& operator=(const TrialStack&) = delete;
 
@@ -70,7 +70,6 @@ struct TrialStack {
   FlightRecorder flight;
   std::optional<FaultInjector> injector;
   DetRuntime runtime;
-  std::optional<TrialAbortScope> abort_scope;
   CaseOracle oracle;
   DetRuntime::RunResult result;
   std::string verdict;
@@ -119,38 +118,32 @@ struct ChaosFaultFamily {
 std::vector<ChaosFaultFamily> CalibrationFaultFamilies();
 
 // Supervision policy for RunChaosCalibration (see runtime/supervisor.h). Disabled by
-// default; when enabled, every trial of every row runs under a wall-clock deadline
-// with a reaper (DetRuntime::RequestAbort through the TrialAbortSlot seam),
-// catastrophic attempts — reaped or crashed — retry with exponential backoff, and a
-// row that keeps dying is quarantined: its remaining seeds are skipped (counted in
-// ChaosSweepOutcome::skipped), its folded seeds are kept, and the row carries the
-// last harvested postmortem. With no catastrophic seeds the supervised table is
-// field-by-field identical to the unsupervised one at any worker count — the seam
-// adds no observable behavior to a healthy trial.
+// default. A chaos trial is bounded by its step budget and is a pure function of its
+// seed, so supervision adds no reaper, retry or backoff: every seed runs, and the row's
+// one fold also applies the quarantine rule (SupervisionVerdict::Fold) to its per-seed
+// records in seed order. A crashed run (ChaosTrialOutcome::crashed; fault-on and
+// fault-off each count once) is catastrophic; the seed that brings the count to
+// quarantine_after is the row's last folded seed, and the seeds after it count as
+// ChaosSweepOutcome::skipped. Because the verdict is a fold over the records, the
+// table — quarantined rows included — is identical at any worker count and across
+// --resume, and with no crashes it is field-by-field the unsupervised table.
 struct ChaosSupervision {
   bool enabled = false;
-  // trial_deadline / max_attempts / retry_backoff / quarantine_after apply as
-  // documented in SupervisorOptions. `sandbox` is ignored: chaos trials run
-  // in-process under DetRuntime, whose abort seam the reaper uses.
+  // Only quarantine_after applies; the deadline, retry and sandbox fields are for
+  // OsRuntime trials.
   SupervisorOptions options;
 };
 
-struct ChaosCalibrationRow {
+// One row; its SupervisionVerdict stays default on unsupervised runs. A crashed run
+// folds into `outcome` as hung, so a quarantined row's folded seeds keep their
+// denominators; quarantine only moves the seeds after it to `outcome.skipped`.
+struct ChaosCalibrationRow : SupervisionVerdict {
   std::string problem;
   Mechanism mechanism = Mechanism::kSemaphore;
   std::string display;
   std::string fault;  // ChaosFaultFamily::name.
   std::string plan;   // The plan text, for replay.
   ChaosSweepOutcome outcome;
-
-  // Supervision verdicts (all default on unsupervised runs). A reaped trial still
-  // folds into `outcome` through DetRuntime's abort path — injector counts, step
-  // count, diagnosis, postmortem — so a reaped genuine hang keeps counting toward
-  // recall; quarantine only stops *future* seeds of the row.
-  bool quarantined = false;
-  std::string quarantine_reason;      // "" unless quarantined.
-  std::string last_postmortem_cause;  // Last catastrophic attempt's harvest.
-  std::string last_postmortem;
 };
 
 struct ChaosCalibrationTable {
@@ -184,11 +177,9 @@ struct ChaosCalibrationTable {
 
 // Runs the full suite × family grid. 2 × seeds_per_case trials per row; each row's
 // seed range is sharded across `parallel` workers (the row/table order is fixed, and
-// the outcome of every row is bit-identical to the serial sweep). With
-// supervision.enabled, trials additionally run under the deadline/retry/quarantine
-// policy above; healthy rows stay bit-identical, while a quarantined row's folded
-// seed count depends on when the quarantine landed relative to the worker pool (only
-// the *healthy* rows carry the determinism guarantee).
+// every row is folded once from its per-seed records in seed order, so the table is
+// bit-identical to the serial sweep). With supervision.enabled the fold also decides
+// quarantine (see ChaosSupervision), with the same determinism guarantee.
 ChaosCalibrationTable RunChaosCalibration(int seeds_per_case = 20,
                                           std::uint64_t base_seed = 1,
                                           int workload_scale = 1,
@@ -207,20 +198,27 @@ std::optional<ChaosReplayResult> ReplayChaosTrial(const std::string& problem,
                                                   std::uint64_t base_seed = 1,
                                                   int workload_scale = 1);
 
-// Implementation seam, exposed so tests can drive the supervision wrapper against
-// synthetic trials (hanging, crashing) that the real calibration suite deliberately
-// does not contain.
 namespace chaos_internal {
 
-// Per-row supervision state (runtime/supervisor.h): the row's sweep workers share it.
-using SupervisedRowState = ::syneval::SupervisedRowState;
+// One calibration row: sweeps `trial` over seeds base_seed .. base_seed + num_seeds - 1
+// (SweepChaosSeeds, checkpointed under parallel.checkpoint_scope) and folds the
+// per-seed records into row.outcome and, when supervision.enabled, into the row's
+// SupervisionVerdict. Returns the pool run. Exposed so tests can drive the quarantine
+// rule with synthetic (crashing) trials that the real suite does not contain.
+SweepRun SweepChaosRow(const ChaosTrial& trial, const FaultPlan& plan, int num_seeds,
+                       std::uint64_t base_seed, const ParallelOptions& parallel,
+                       const ChaosSupervision& supervision, ChaosCalibrationRow& row);
 
-// Wraps one row's trial in the supervision policy (SuperviseSeed): quarantine short-
-// circuit, per-attempt deadline/reaper through the TrialAbortSlot seam, catastrophic-
-// only retry with exponential backoff. A reaped hang keeps the outcome of its abort
-// path; a crash folds as hung. A healthy trial takes exactly one pass through the
-// inner callback and returns its outcome untouched — bit-identity for healthy cells is
-// structural, not a property of the policy parameters.
+// Vestiges kept only because perfbench/chaos_soak.cc still builds its replica grid
+// from them; delete both with the next change to that benchmark. Chaos rows are
+// supervised by the row fold above, so the wrapper has nothing to add.
+
+// A row verdict and a mutex; nothing writes it any more, so its stats stay zero.
+struct SupervisedRowState : SupervisionVerdict {
+  std::mutex mu;
+};
+
+// Returns `inner` unchanged.
 ChaosTrial MakeSupervisedChaosTrial(ChaosTrial inner, const SupervisorOptions& options,
                                     std::shared_ptr<SupervisedRowState> state);
 

@@ -132,7 +132,7 @@ bool GetAnomalies(const RecordReader& r, AnomalyCounts* counts) {
 void PutChaosRun(RecordWriter& w, const std::string& prefix, const ChaosTrialOutcome& run) {
   w.PutBool(prefix + "done", run.completed);
   w.PutBool(prefix + "hung", run.hung);
-  w.PutBool(prefix + "skip", run.skipped);
+  w.PutBool(prefix + "crash", run.crashed);
   w.PutBool(prefix + "ofail", run.oracle_failed);
   w.PutInt(prefix + "inj", run.injected);
   w.PutU64(prefix + "first", run.first_injection_step);
@@ -147,7 +147,7 @@ void PutChaosRun(RecordWriter& w, const std::string& prefix, const ChaosTrialOut
 bool GetChaosRun(const RecordReader& r, const std::string& prefix, ChaosTrialOutcome* run) {
   return r.GetBool(prefix + "done", &run->completed) &&
          r.GetBool(prefix + "hung", &run->hung) &&
-         r.GetBool(prefix + "skip", &run->skipped) &&
+         r.GetBool(prefix + "crash", &run->crashed) &&
          r.GetBool(prefix + "ofail", &run->oracle_failed) &&
          r.GetInt(prefix + "inj", &run->injected) &&
          r.GetU64(prefix + "first", &run->first_injection_step) &&
@@ -250,7 +250,7 @@ bool DecodeTrialReport(const std::string& payload, TrialReport* out) {
 
 std::string EncodeChaosSeedPair(const ChaosSeedPair& pair) {
   RecordWriter w;
-  w.Put("v", "chaospair1");
+  w.Put("v", "chaospair2");
   PutChaosRun(w, "on.", pair.on);
   PutChaosRun(w, "off.", pair.off);
   return w.Take();
@@ -260,7 +260,7 @@ bool DecodeChaosSeedPair(const std::string& payload, ChaosSeedPair* out) {
   const RecordReader r(payload);
   std::string version;
   ChaosSeedPair decoded;
-  if (!r.Get("v", &version) || version != "chaospair1" ||
+  if (!r.Get("v", &version) || version != "chaospair2" ||
       !GetChaosRun(r, "on.", &decoded.on) || !GetChaosRun(r, "off.", &decoded.off)) {
     return false;
   }
@@ -356,13 +356,21 @@ int CheckpointStore::ReplayJournalLocked() {
   return replayed;
 }
 
-bool CheckpointStore::Lookup(const std::string& key, std::string* payload) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+bool CheckpointStore::Lookup(const std::string& key, std::string* payload,
+                             const std::function<bool(const std::string&)>& accept) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      return false;
+    }
+    *payload = it->second;
+  }
+  // The caller's decode runs outside the lock; a payload it rejects is a miss.
+  if (accept && !accept(*payload)) {
     return false;
   }
-  *payload = it->second;
+  std::lock_guard<std::mutex> lock(mu_);
   ++hits_;
   return true;
 }

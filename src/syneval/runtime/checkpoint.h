@@ -20,11 +20,12 @@
 //     always a complete parseable file, and journal entries that survived a
 //     mid-compaction crash merely replay as idempotent duplicates.
 //   * The per-seed record codecs — EncodeTrialReport ("trial1", one schedule-sweep
-//     seed) and EncodeChaosSeedPair ("chaospair1", one chaos seed's fault-on and
-//     fault-off runs) — are LOSSLESS over every field, so a restored chunk folds
-//     exactly like a re-run one and a resumed sweep's outcome, and hence the bench
-//     JSON rendered from it, is byte-identical to the clean run. A chunk's payload is
-//     its seeds' records, in seed order, joined by ','.
+//     seed) and EncodeChaosSeedPair ("chaospair2", one chaos seed's fault-on and
+//     fault-off runs, crash bits included) — are LOSSLESS over every field, so a
+//     restored chunk folds exactly like a re-run one and a resumed sweep's outcome
+//     (a chaos row's quarantine verdict included), and hence the bench JSON rendered
+//     from it, is byte-identical to the clean run. A chunk's payload is its seeds'
+//     records, in seed order, joined by ','.
 //
 // Format (docs/RESILIENCE.md): the snapshot is a header line "syneval-checkpoint v1",
 // then one "<key>\t<payload>" line per chunk; the journal is a header line
@@ -32,8 +33,9 @@
 // are escaped so they contain no tab or newline; unparseable lines are skipped on
 // load (a truncated or corrupted entry costs a re-run of that chunk, nothing more).
 // Records are "k=v;k=v" with the same escaping (so no record holds a raw ',').
-// Payloads of older writers (the "sweep1" / "chaos2" per-chunk aggregates) fail to
-// decode as records and are re-run as cache misses. No external serialization
+// Payloads of older writers (the "sweep1" / "chaos2" per-chunk aggregates, and
+// "chaospair1" records, which carried a skip bit where chaospair2 carries the crash
+// bit) fail to decode and are re-run as cache misses. No external serialization
 // library — the runtime layer sits below syneval_core, so it cannot use the
 // scorecard JSON helpers.
 //
@@ -47,6 +49,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -75,7 +78,7 @@ std::string CheckpointUnescape(std::string_view s);
 // with this.
 std::string EncodeTrialReport(const TrialReport& report);
 bool DecodeTrialReport(const std::string& payload, TrialReport* out);
-// ChaosSeedPair ("chaospair1"): one chaos-sweep seed's fault-on and fault-off runs.
+// ChaosSeedPair ("chaospair2"): one chaos-sweep seed's fault-on and fault-off runs.
 std::string EncodeChaosSeedPair(const ChaosSeedPair& pair);
 bool DecodeChaosSeedPair(const std::string& payload, ChaosSeedPair* out);
 
@@ -107,8 +110,11 @@ class CheckpointStore {
   // once, before the store is shared with workers.
   int Load();
 
-  // Returns true and fills *payload when `key` is present (counted in hits()).
-  bool Lookup(const std::string& key, std::string* payload) const;
+  // Fills *payload when `key` is present. Returns true — and counts the lookup in
+  // hits() — only when `accept` (if given) also takes the payload: the sweep engine
+  // passes its chunk decode, so a payload that fails to decode is a miss.
+  bool Lookup(const std::string& key, std::string* payload,
+              const std::function<bool(const std::string&)>& accept = {}) const;
 
   // Inserts or replaces `key`, appending it to the write-ahead journal (flushed per
   // append, so the commit survives SIGKILL immediately); every flush_every()-th
@@ -128,7 +134,7 @@ class CheckpointStore {
   const std::string& path() const { return path_; }
   std::string journal_path() const { return path_ + ".journal"; }
   int size() const;
-  // Successful Lookup() calls — i.e. chunks a resumed sweep did not have to re-run.
+  // Successful Lookup() calls — i.e. chunks a resumed sweep restored, not re-ran.
   int hits() const;
   // Journal telemetry, rendered as the schema-v5 "journal" object by the bench
   // reporter: appends written this run, compactions performed, and journal entries

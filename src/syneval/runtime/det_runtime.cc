@@ -574,20 +574,6 @@ DetRuntime::RunResult DetRuntime::Run() {
   std::vector<Tcb*> ready;
   std::vector<SchedCandidate> candidates;
   while (true) {
-    if (abort_requested_) {
-      // Supervisor-requested end-of-run. The driver holds control, so every
-      // non-finished thread is parked at a scheduling point and the wait-for state is
-      // diagnosable, exactly as on the deadlock path.
-      result.aborted = true;
-      result.report = BuildStuckReportLocked("aborted by supervisor");
-      if (AnomalyDetector* det = anomaly_detector()) {
-        det->DiagnoseStuck();
-        for (const Anomaly& anomaly : det->anomalies()) {
-          result.report += "  " + anomaly.ToString() + "\n";
-        }
-      }
-      break;
-    }
     WakeExpiredTimedWaitersLocked();
     ready.clear();
     candidates.clear();
@@ -702,15 +688,6 @@ DetRuntime::RunResult DetRuntime::Run() {
 bool DetRuntime::Aborting() const {
   std::lock_guard<std::mutex> lock(mu_);
   return abort_;
-}
-
-void DetRuntime::RequestAbort() {
-  std::lock_guard<std::mutex> lock(mu_);
-  abort_requested_ = true;
-  // The driver acts on the flag at its next scheduling decision — i.e. as soon as the
-  // currently running managed thread (if any) reaches a scheduling point. The notify
-  // covers the no-runnable-threads windows where the driver sleeps in cv_.wait.
-  cv_.notify_all();
 }
 
 void DetRuntime::SwitchOutLocked(std::unique_lock<std::mutex>& lock, Tcb* tcb, int state,

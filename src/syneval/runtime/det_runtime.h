@@ -9,6 +9,8 @@
 //
 // DetRuntime also detects deadlock (no runnable threads while some are blocked) and
 // livelock (step-limit exceeded) and reports the wait-for state of every stuck thread.
+// Time is counted in scheduling steps, never read from the host: the step budget is
+// the only deadline a run has, and both verdicts are exact.
 // This is what lets the test suite *exhibit* the nested-monitor-call deadlock of
 // [Lister 77] discussed in Sections 2 and 5.2 of the paper, rather than merely assert
 // that it would happen.
@@ -63,7 +65,6 @@ class DetRuntime : public Runtime {
     bool completed = false;    // All threads ran to completion.
     bool deadlocked = false;   // Some threads remained blocked with none runnable.
     bool step_limit = false;   // Options::max_steps exceeded.
-    bool aborted = false;      // RequestAbort() ended the run before completion.
     std::uint64_t steps = 0;   // Scheduling steps taken.
     std::string report;        // Human-readable diagnosis when !completed.
   };
@@ -86,19 +87,12 @@ class DetRuntime : public Runtime {
   bool Aborting() const override;
 
   // Drives the schedule until every managed thread finished, deadlock, or step limit.
-  // Must be called from the (unmanaged) thread that constructed the runtime, at most
-  // once. Threads may still be started from inside managed threads while running.
+  // Options::max_steps is the run's only bound: nothing reads the host clock, so the
+  // result is a pure function of (schedule, seed, workload) and needs no wall-clock
+  // supervision. Must be called from the (unmanaged) thread that constructed the
+  // runtime, at most once. Threads may still be started from inside managed threads
+  // while running.
   RunResult Run();
-
-  // Asks the driver to end the run at its next scheduling decision: the run reports
-  // `aborted` with a stuck-thread diagnosis (every blocked thread is parked at a
-  // scheduling point when the driver holds control, so the classification is as sound
-  // as the deadlock path's) and tears the remaining threads down exactly as a deadlock
-  // would. Safe from any thread, any time; a no-op after the run ended. The one thing
-  // it cannot interrupt is a managed thread wedged in non-synchronizing compute —
-  // the driver only regains control at scheduling points (the process sandbox in
-  // runtime/supervisor.h covers that case).
-  void RequestAbort();
 
  private:
   struct Tcb;
@@ -140,7 +134,6 @@ class DetRuntime : public Runtime {
   std::uint64_t step_ = 0;
   bool running_ = false;
   bool abort_ = false;
-  bool abort_requested_ = false;  // RequestAbort() fired; driver acts at the next step.
   bool ran_ = false;
 };
 

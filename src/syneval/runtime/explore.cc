@@ -95,8 +95,8 @@ void AccumulateTrial(TrialReport report, std::uint64_t seed, SweepOutcome& outco
 
 namespace {
 
-// One chaos run with the run step's exception catch: a trial that throws is a hung
-// run, keeping `runs` a common denominator.
+// One chaos run with the run step's exception catch: a trial that throws is a crashed,
+// hung run, keeping `runs` a common denominator.
 ChaosTrialOutcome RunChaosTrial(
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
     std::uint64_t seed, const FaultPlan* plan) {
@@ -104,11 +104,11 @@ ChaosTrialOutcome RunChaosTrial(
   try {
     out = trial(seed, plan);
   } catch (const std::exception& error) {
-    out.hung = true;
     out.report = std::string("trial aborted: ") + error.what();
+    out.crashed = out.hung = true;
   } catch (...) {
-    out.hung = true;
     out.report = "trial aborted: unknown exception";
+    out.crashed = out.hung = true;
   }
   return out;
 }
@@ -120,23 +120,13 @@ ChaosSeedPair RunChaosSeed(
     const FaultPlan& plan, std::uint64_t seed) {
   ChaosSeedPair pair;
   pair.on = RunChaosTrial(trial, seed, &plan);
-  if (!pair.on.skipped) {
-    // Supervised sweeps skip a quarantined row's seeds: the supervision wrapper
-    // short-circuits the fault-on run, and the fault-off run must not run either.
-    pair.off = RunChaosTrial(trial, seed, nullptr);
-  }
+  pair.off = RunChaosTrial(trial, seed, nullptr);
   return pair;
 }
 
 void AccumulateChaosTrial(ChaosSeedPair pair, std::uint64_t seed,
                           ChaosSweepOutcome& outcome) {
   ChaosTrialOutcome& on = pair.on;
-  if (on.skipped) {
-    // Nothing executed for this seed, so no denominator moves — the seed is only
-    // counted as skipped.
-    ++outcome.skipped;
-    return;
-  }
   // Fault-on run: measure recall over faults that actually fired and did harm.
   ++outcome.runs;
   if (!on.postmortem.empty()) {

@@ -161,8 +161,8 @@ struct FaultPlan;
 struct ChaosTrialOutcome {
   bool completed = false;      // The run finished; oracle verdict is meaningful.
   bool hung = false;           // Deadlock or step-limit: the run never finished.
-  bool skipped = false;        // Supervised sweeps: the cell was quarantined before
-                               // this seed; nothing ran (fault-off run included).
+  bool crashed = false;        // An exception escaped the trial (the run step's catch);
+                               // also hung. Supervised rows quarantine on these.
   bool oracle_failed = false;  // Completed but the recorded trace violated the oracle.
   int injected = 0;            // Faults the injector fired (0 on fault-off runs).
   std::uint64_t first_injection_step = 0;  // Virtual step of the first injection.
@@ -178,9 +178,9 @@ struct ChaosTrialOutcome {
   std::uint64_t flight_evicted = 0;
 };
 
-// One seed of a chaos sweep: its fault-on run and its matched fault-off run. When the
-// fault-on run was skipped (a quarantined supervised row), the fault-off run never
-// happened and `off` stays default.
+// One seed of a chaos sweep: its fault-on run and its matched fault-off run — the
+// per-seed record (chaospair2, runtime/checkpoint.h) every verdict on a chaos row is
+// folded from, quarantine included.
 struct ChaosSeedPair {
   ChaosTrialOutcome on;
   ChaosTrialOutcome off;
@@ -199,8 +199,8 @@ struct ChaosSeedPair {
 //   fp        — fault-off runs where the detector flagged anything at all.
 struct ChaosSweepOutcome {
   int runs = 0;              // Seeds swept (each contributing one on + one off run).
-  int skipped = 0;           // Seeds skipped after quarantine (supervised sweeps only;
-                             // not part of the `runs` denominator — nothing ran).
+  int skipped = 0;           // Seeds past a supervised row's quarantine: they ran, but
+                             // are not folded (not part of the `runs` denominator).
   int injected_runs = 0;     // Fault-on runs where at least one fault fired.
   int harmful = 0;           // Fault fired and the run hung.
   int detected_harmful = 0;  // Harmful runs the detector flagged.
@@ -264,9 +264,9 @@ TrialReport RunTrial(const std::function<TrialReport(std::uint64_t)>& trial,
 // Fold step: accumulates one seed's report into `outcome`.
 void AccumulateTrial(TrialReport report, std::uint64_t seed, SweepOutcome& outcome);
 
-// Chaos equivalents. The run step runs the fault-on trial, then — unless it was
-// skipped — the matched fault-off trial, each with the exception catch above
-// (an escaping exception becomes a hung run).
+// Chaos equivalents. The run step runs the fault-on trial, then the matched fault-off
+// trial, each with the exception catch above (an escaping exception becomes a crashed,
+// hung run).
 ChaosSeedPair RunChaosSeed(
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
     const FaultPlan& plan, std::uint64_t seed);

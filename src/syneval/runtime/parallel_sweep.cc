@@ -137,7 +137,8 @@ void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& 
 
   auto worker_body = [&](int w) {
     // Each pool worker runs one trial at a time, so registering the worker makes
-    // ActiveTrials() ≈ the oversubscription factor the watchdog should scale by.
+    // ActiveTrials() ≈ the oversubscription factor the watchdog should scale by. This
+    // is the one registration of a running trial: supervised attempts run inside it.
     ActiveTrialScope active;
     const auto worker_start = std::chrono::steady_clock::now();
     WorkerTelemetry& shard = run->workers[static_cast<std::size_t>(w)];
@@ -165,8 +166,10 @@ void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& 
         std::string payload;
         // A payload that fails to decode (foreign writer, an older record version, a
         // truncated entry the atomic snapshot should make impossible) is a plain cache
-        // miss: the chunk re-runs.
-        if (store->Lookup(key, &payload) && RestoreChunk(slots, begin, end, payload)) {
+        // miss: the chunk re-runs, and the store does not count it as a hit.
+        if (store->Lookup(key, &payload, [&](const std::string& found) {
+              return RestoreChunk(slots, begin, end, found);
+            })) {
           ++shard.cached;
           continue;
         }
@@ -238,16 +241,23 @@ ParallelSweepResult ParallelSweepSchedules(
   return result;
 }
 
-ParallelChaosResult ParallelSweepChaos(
+SeedSweep<ChaosSeedPair> SweepChaosSeeds(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
     const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& options) {
-  SeedSweep<ChaosSeedPair> sweep = SweepSeeds<ChaosSeedPair>(
+  return SweepSeeds<ChaosSeedPair>(
       num_seeds, base_seed, options,
       [&trial, &plan](std::uint64_t seed) {
         return sweep_internal::RunChaosSeed(trial, plan, seed);
       },
       &kChaosCodec);
+}
+
+ParallelChaosResult ParallelSweepChaos(
+    int num_seeds,
+    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
+    const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& options) {
+  SeedSweep<ChaosSeedPair> sweep = SweepChaosSeeds(num_seeds, trial, plan, base_seed, options);
   ParallelChaosResult result;
   for (std::size_t i = 0; i < sweep.results.size(); ++i) {
     sweep_internal::AccumulateChaosTrial(std::move(sweep.results[i]), base_seed + i,

@@ -150,8 +150,16 @@ ParallelSweepResult ParallelSweepSchedules(
     int num_seeds, const std::function<TrialReport(std::uint64_t)>& trial,
     std::uint64_t base_seed = 1, const ParallelOptions& options = {});
 
-// SweepChaos plus pool telemetry: each seed still contributes one matched fault-on +
-// fault-off pair, executed by the same worker back to back.
+// The chaos sweep's run step on the engine, checkpointed as chaospair2 records: each
+// seed's matched fault-on + fault-off pair, run by one worker back to back, returned
+// in seed order for the caller's fold (the chaos calibration's fold also decides
+// quarantine, fault/chaos.h).
+SeedSweep<ChaosSeedPair> SweepChaosSeeds(
+    int num_seeds,
+    const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,
+    const FaultPlan& plan, std::uint64_t base_seed, const ParallelOptions& options);
+
+// SweepChaos plus pool telemetry: SweepChaosSeeds, folded with AccumulateChaosTrial.
 ParallelChaosResult ParallelSweepChaos(
     int num_seeds,
     const std::function<ChaosTrialOutcome(std::uint64_t, const FaultPlan*)>& trial,

@@ -8,6 +8,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -39,11 +40,6 @@ namespace syneval {
 namespace {
 
 std::atomic<int> g_active_trials{0};
-
-std::string DeadlineMessage(const SupervisorOptions& options) {
-  return "reaped: trial exceeded " + std::to_string(options.trial_deadline.count()) +
-         "ms deadline";
-}
 
 }  // namespace
 
@@ -232,13 +228,19 @@ SeededTrial MakeSupervisableOsTrial(
   };
 }
 
+namespace {
+
 // ---- One attempt --------------------------------------------------------------------
 
+// Runs `fn` once on the calling thread as one in-process attempt: a fresh slot is
+// installed and reaped at options.trial_deadline (RunWithTrialDeadline), and an
+// exception escaping `fn` becomes a crash record. A TrialAborted escaping a reaped
+// attempt is its abort path, not a crash. Sets the result's reaped/crashed/crash; the
+// reaper's pre-abort harvest lands in *harvest.
 SupervisedTrialResult RunInProcessAttempt(const SupervisorOptions& options,
                                           const std::function<void()>& fn,
                                           TrialObservation* harvest) {
   SupervisedTrialResult result;
-  ActiveTrialScope active;
   TrialAbortSlot slot;
   TrialReapResult reap = RunWithTrialDeadline(slot, options.trial_deadline, [&] {
     try {
@@ -258,8 +260,6 @@ SupervisedTrialResult RunInProcessAttempt(const SupervisorOptions& options,
   *harvest = std::move(reap.observation);
   return result;
 }
-
-namespace {
 
 // ---- fork() process sandbox ---------------------------------------------------------
 
@@ -457,7 +457,6 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
 bool RunSandboxedAttempt(const SeededTrial& trial, std::uint64_t seed,
                          const SupervisorOptions& options, SupervisedTrialResult* result,
                          TrialObservation* harvest) {
-  ActiveTrialScope active;
   void* mapping = mmap(nullptr, sizeof(ShmBlock), PROT_READ | PROT_WRITE,
                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (mapping == MAP_FAILED) {
@@ -548,7 +547,8 @@ SupervisedTrialResult RunSeededAttempt(const SeededTrial& trial, std::uint64_t s
   if (result.reaped) {
     // Whatever the unwound trial's oracle said about its half-executed workload is
     // not a verdict; the supervised outcome is "this seed's trial hung".
-    result.report.message = DeadlineMessage(options);
+    result.report.message = "reaped: trial exceeded " +
+                            std::to_string(options.trial_deadline.count()) + "ms deadline";
   } else if (result.crashed) {
     result.report.message = "crashed: " + result.crash.what;
   }
@@ -561,67 +561,50 @@ SupervisedTrialResult RunSeededAttempt(const SeededTrial& trial, std::uint64_t s
 
 }  // namespace
 
-std::optional<SupervisedTrialResult> SuperviseSeed(
-    SupervisedRowState& row, const SupervisorOptions& options,
-    const std::function<SupervisedTrialResult()>& attempt) {
-  {
-    std::lock_guard<std::mutex> lock(row.mu);
-    if (row.quarantined) {
-      return std::nullopt;
-    }
+void SupervisionVerdict::Fold(const SupervisedTrialResult& seed,
+                              const SupervisorStats& attempts,
+                              const SupervisorOptions& options) {
+  stats += attempts;
+  if (!seed.Catastrophic()) {
+    return;
   }
-  SupervisorStats seed_stats;
-  SupervisedTrialResult result;
-  const int max_attempts = std::max(1, options.max_attempts);
-  for (int n = 1; n <= max_attempts; ++n) {
-    if (n > 1) {
-      ++seed_stats.retried;
-      std::this_thread::sleep_for(options.retry_backoff * (1 << (n - 2)));
-    }
-    result = attempt();
-    result.attempts = n;
-    seed_stats.reaped += result.reaped ? 1 : 0;
-    seed_stats.crashed += result.crashed ? 1 : 0;
-    if (!result.Catastrophic()) {
-      break;
-    }
+  ++catastrophic_seeds;
+  if (seed.crashed) {
+    last_crash = seed.crash;
   }
-
-  std::lock_guard<std::mutex> lock(row.mu);
-  row.stats += seed_stats;
-  if (!result.Catastrophic()) {
-    return result;
+  if (!seed.report.postmortem.empty()) {
+    last_postmortem_cause = seed.report.postmortem_cause;
+    last_postmortem = seed.report.postmortem;
   }
-  // Catastrophic after every attempt: the caller still folds the last attempt (a
-  // reaped genuine hang keeps counting), and the row moves toward quarantine.
-  ++row.catastrophic_seeds;
-  if (result.crashed) {
-    row.last_crash = result.crash;
+  if (!quarantined && catastrophic_seeds >= std::max(1, options.quarantine_after)) {
+    quarantined = true;
+    ++stats.quarantined;
+    quarantine_reason = std::to_string(catastrophic_seeds) +
+                        " catastrophic seed(s) (last: " + seed.report.message + ")";
   }
-  if (!result.report.postmortem.empty()) {
-    row.last_postmortem_cause = result.report.postmortem_cause;
-    row.last_postmortem = result.report.postmortem;
-  }
-  if (!row.quarantined && row.catastrophic_seeds >= std::max(1, options.quarantine_after)) {
-    row.quarantined = true;
-    ++row.stats.quarantined;
-    row.quarantine_reason =
-        std::to_string(row.catastrophic_seeds) + " catastrophic seed(s) (last: " +
-        (result.crashed ? "crashed: " + result.crash.what : DeadlineMessage(options)) +
-        ")";
-  }
-  return result;
 }
 
 SupervisedTrialResult RunSupervisedSeed(const SeededTrial& trial, std::uint64_t seed,
                                         const SupervisorOptions& options,
                                         SupervisorStats* stats) {
-  SupervisedRowState row;
-  SupervisedTrialResult result =
-      *SuperviseSeed(row, options, [&] { return RunSeededAttempt(trial, seed, options); });
+  SupervisorStats counts;
+  SupervisedTrialResult result;
+  const int max_attempts = std::max(1, options.max_attempts);
+  for (int n = 1; n <= max_attempts; ++n) {
+    if (n > 1) {
+      ++counts.retried;
+      std::this_thread::sleep_for(options.retry_backoff * (1 << (n - 2)));
+    }
+    result = RunSeededAttempt(trial, seed, options);
+    result.attempts = n;
+    counts.reaped += result.reaped ? 1 : 0;
+    counts.crashed += result.crashed ? 1 : 0;
+    if (!result.Catastrophic()) {
+      break;
+    }
+  }
   if (stats != nullptr) {
-    row.stats.quarantined = 0;  // Quarantine is a verdict on a row, not on one seed.
-    *stats += row.stats;
+    *stats += counts;
   }
   return result;
 }
@@ -632,21 +615,22 @@ SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
   SupervisedSweepReport report;
   report.cells.reserve(cells.size());
   for (const SupervisedCell& cell : cells) {
-    SupervisedRowState row;
-    // One engine sweep per cell, at one job: seeds run in order on this thread, so
-    // once the row is quarantined every remaining seed yields "not run".
-    const std::function<std::optional<TrialReport>(std::uint64_t)> supervised =
-        [&](std::uint64_t seed) -> std::optional<TrialReport> {
-      std::optional<SupervisedTrialResult> trial = SuperviseSeed(
-          row, options, [&] { return RunSeededAttempt(cell.trial, seed, options); });
-      if (!trial) {
-        return std::nullopt;
-      }
-      return std::move(trial->report);
-    };
     SupervisedCellResult cr;
     cr.id = cell.id;
     cr.base_seed = base_seed;
+    // One engine sweep per cell, at one job: seeds run in order on this thread and
+    // fold into the verdict as they finish, so once the cell is quarantined every
+    // remaining seed yields "not run".
+    const std::function<std::optional<TrialReport>(std::uint64_t)> supervised =
+        [&](std::uint64_t seed) -> std::optional<TrialReport> {
+      if (cr.quarantined) {
+        return std::nullopt;
+      }
+      SupervisorStats attempts;
+      SupervisedTrialResult result = RunSupervisedSeed(cell.trial, seed, options, &attempts);
+      cr.Fold(result, attempts, options);
+      return std::move(result.report);
+    };
     SeedSweep<std::optional<TrialReport>> sweep =
         SweepSeeds(num_seeds, base_seed, ParallelOptions{}, supervised);
     for (std::optional<TrialReport>& report : sweep.results) {
@@ -660,7 +644,6 @@ SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
       sweep_internal::AccumulateTrial(cr.reports[i], base_seed + i, cr.outcome);
     }
     cr.completed_seeds = static_cast<int>(cr.reports.size());
-    static_cast<SupervisionVerdict&>(cr) = row;
     report.totals += cr.stats;
     report.cells.push_back(std::move(cr));
   }

@@ -4,15 +4,17 @@
 // mechanisms × fault plans — and at that scale a single genuinely-hung OsRuntime trial
 // (the very deadlocks the suite exists to provoke) or one crashed worker must not
 // stall or forfeit the whole sweep. This module hardens the evaluation harness itself
-// through one seam, one reaper, one policy and one quarantine format:
+// through one seam, one reaper, one retry, one quarantine rule and one quarantine
+// format. Only OsRuntime trials need the wall clock: a DetRuntime trial is bounded by
+// its step budget (det_runtime.h) and is a pure function of its seed, so it is never
+// reaped or retried — its rows are supervised by the quarantine rule alone.
 //
 //   * The seam. A supervised trial is a plain seeded trial (TrialReport(seed)). It
 //     registers its abort and observe callbacks from inside its own body through a
-//     TrialAbortScope, into the TrialAbortSlot its thread has installed — OS trials
+//     TrialAbortScope, into the TrialAbortSlot its thread has installed
 //     (MakeSupervisableOsTrial: AnomalyDetector::SetAborting, then
 //     OsRuntime::RequestAbort, so every blocked thread throws TrialAborted and unwinds
-//     through RAII guards that no-op behind the Runtime::Aborting() seam) and chaos
-//     trials (fault/chaos.h: DetRuntime::RequestAbort) alike.
+//     through RAII guards that no-op behind the Runtime::Aborting() seam).
 //   * The reaper. RunWithTrialDeadline runs one attempt with a slot installed; past
 //     the deadline its reaper thread captures a live postmortem through the slot's
 //     observe and then force-unwinds the trial through its abort.
@@ -24,17 +26,21 @@
 //     SIGFPE / SIGILL / std::terminate / escaping exceptions become a structured
 //     TrialCrash record in shared memory, and the parent SIGKILLs the child at the
 //     deadline — a reap no in-process mechanism can refuse.
-//   * The policy. SuperviseSeed retries catastrophic attempts (reaped or crashed) with
-//     exponential backoff and quarantines a row whose seeds keep dying — folding the
-//     seeds it did complete, skipping the rest, and keeping its last crash and
-//     postmortem for quarantine.json — so a sweep with broken cells still terminates
-//     with every healthy cell's outcome bit-identical to a clean run. RunSupervisedSeed
-//     and SuperviseSweep apply it to seeded trials; the chaos calibration applies it
-//     to its rows, folding each attempt into its own outcome type.
+//   * The retry. RunSupervisedSeed retries a seed's catastrophic attempts (reaped or
+//     crashed) with exponential backoff.
+//   * The quarantine rule. SupervisionVerdict::Fold walks a row's seeds in seed order
+//     and quarantines the row once quarantine_after of them ended catastrophic,
+//     keeping the seeds up to that one, skipping the rest, and keeping the last crash
+//     and postmortem for quarantine.json — so a sweep with broken cells still
+//     terminates with every healthy cell's outcome bit-identical to a clean run.
+//     SuperviseSweep folds each seed as it finishes; the chaos calibration folds its
+//     rows' per-seed records (fault/chaos.h), so a resumed sweep recomputes the same
+//     verdict from restored records.
 //
 // The process-wide ActiveTrials() gauge also feeds the OsRuntime watchdog's
-// load-adaptive poll threshold (os_runtime.h): trials register through
-// ActiveTrialScope, and the stuck-wait threshold scales with how many run at once.
+// load-adaptive poll threshold (os_runtime.h): each sweep-pool worker registers
+// through one ActiveTrialScope, and the stuck-wait threshold scales with how many run
+// at once.
 //
 // docs/RESILIENCE.md covers the supervisor, the sandbox protocol, the checkpoint
 // format (runtime/checkpoint.h), and the quarantine semantics.
@@ -46,7 +52,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,9 +65,10 @@ class OsRuntime;
 
 // ---- Process-wide active-trial gauge ------------------------------------------------
 
-// Number of trials currently executing in this process (supervised trials and
-// parallel-sweep chunks). Consumed by the OsRuntime watchdog's load-adaptive
-// threshold. Never returns less than 1: the caller asking is itself doing work.
+// Number of trials currently executing in this process: one per sweep-pool worker
+// (parallel_sweep.h), supervised or not. Consumed by the OsRuntime watchdog's
+// load-adaptive threshold. Never returns less than 1: the caller asking is itself
+// doing work (a supervised seed run outside a sweep reads 1).
 int ActiveTrials();
 
 // RAII registration of one running trial in the ActiveTrials() gauge.
@@ -100,8 +106,8 @@ TrialObservation ObservePostmortem(const FlightRecorder& flight,
 // so a reap cannot be lost to a construction race.
 class TrialAbortSlot {
  public:
-  // Force-unwind the registered trial (OsRuntime trials: detector SetAborting +
-  // RequestAbort; DetRuntime trials: RequestAbort()).
+  // Force-unwind the registered trial (MakeSupervisableOsTrial: detector SetAborting +
+  // OsRuntime::RequestAbort).
   void Abort();
   // Capture a live postmortem of the registered trial ("" fields when nothing is
   // registered or there is nothing to explain yet).
@@ -143,8 +149,8 @@ struct TrialReapResult {
 // under a wall-clock deadline: a reaper thread observes and then aborts through the
 // slot when the deadline expires. deadline <= 0 runs `fn` with the slot installed but
 // no reaper. The abort is cooperative — `fn` must eventually return through its
-// runtime's abort path (DetRuntime trials always do: the driver regains control at
-// every scheduling step).
+// runtime's abort path (an abortable OsRuntime's blocked threads throw TrialAborted);
+// code wedged outside the runtime needs the sandbox.
 TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
                                      std::chrono::milliseconds deadline,
                                      const std::function<void()>& fn);
@@ -161,9 +167,10 @@ struct SupervisorOptions {
   int max_attempts = 2;
   // Sleep before retry k is retry_backoff × 2^(k-1).
   std::chrono::milliseconds retry_backoff{10};
-  // A row (a SuperviseSweep cell, a chaos calibration row) is quarantined once this
-  // many of its seeds end catastrophic (after their retries). Quarantining stops
-  // sweeping the row; seeds already folded are kept, the rest are skipped.
+  // A row is quarantined once this many of its seeds end catastrophic: a
+  // SuperviseSweep cell's seeds after their retries, a chaos calibration row's crashed
+  // runs (fault-on and fault-off each count once). The seeds up to that one are kept;
+  // the rest are skipped.
   int quarantine_after = 2;
   // Run each attempt in a fork()ed child (POSIX only; ignored where unavailable).
   bool sandbox = false;
@@ -191,10 +198,10 @@ struct SupervisorStats {
   SupervisorStats& operator+=(const SupervisorStats& other);
 };
 
-// One attempt as the supervision policy sees it. For plain seeded trials `report` is
-// the attempt's TrialReport (synthesized when catastrophic); other callers fold the
-// attempt into their own outcome type and fill only `report`'s postmortem fields,
-// which the policy keeps as a quarantined row's explanation.
+// One attempt as the supervisor sees it. For plain seeded trials `report` is the
+// attempt's TrialReport (its message synthesized when catastrophic); the chaos
+// calibration fills only `report`'s message and postmortem fields, which the
+// quarantine rule keeps as a quarantined row's explanation.
 struct SupervisedTrialResult {
   TrialReport report;
   bool reaped = false;
@@ -217,16 +224,6 @@ using SeededTrial = std::function<TrialReport(std::uint64_t)>;
 SeededTrial MakeSupervisableOsTrial(
     std::function<std::string(OsRuntime&, std::uint64_t seed)> body);
 
-// Runs `fn` once on the calling thread as one in-process attempt: a fresh slot is
-// installed and reaped at options.trial_deadline (RunWithTrialDeadline), and an
-// exception escaping `fn` becomes a crash record. A TrialAborted escaping a reaped
-// attempt is its abort path, not a crash. Sets the result's reaped/crashed/crash and
-// leaves `report` to the caller's fold; the reaper's pre-abort harvest lands in
-// *harvest.
-SupervisedTrialResult RunInProcessAttempt(const SupervisorOptions& options,
-                                          const std::function<void()>& fn,
-                                          TrialObservation* harvest);
-
 // The supervision verdict on one row of seeds (a SuperviseSweep cell, a chaos
 // calibration row).
 struct SupervisionVerdict {
@@ -237,31 +234,24 @@ struct SupervisionVerdict {
   std::string last_postmortem_cause;  // Last catastrophic seed's postmortem.
   std::string last_postmortem;
   SupervisorStats stats;
-};
 
-// The verdict while the row is swept, shared by its sweep workers; `mu` guards it.
-struct SupervisedRowState : SupervisionVerdict {
-  std::mutex mu;
+  // The one quarantine rule, called once per seed in seed order (a chaos seed: once
+  // per run) and never after the row is quarantined. Adds the seed's attempt counts
+  // to `stats`; a catastrophic `seed` leaves its crash record and postmortem on the
+  // row and, as the options.quarantine_after-th such seed, quarantines it with
+  // "<n> catastrophic seed(s) (last: <its report message>)".
+  void Fold(const SupervisedTrialResult& seed, const SupervisorStats& attempts,
+            const SupervisorOptions& options);
 };
-
-// The one retry/quarantine policy, for one seed of a row. Returns nullopt without
-// calling `attempt` when the row is already quarantined. Otherwise calls `attempt` —
-// which runs one attempt and folds it into the caller's outcome — until it returns a
-// non-catastrophic result or options.max_attempts attempts ran, sleeping
-// retry_backoff × 2^(k-1) before retry k, and returns the last attempt. Counts
-// reaped/crashed/retried into row.stats; a seed whose every attempt was catastrophic
-// leaves its crash record and postmortem on the row and quarantines the row once
-// options.quarantine_after such seeds accumulated.
-std::optional<SupervisedTrialResult> SuperviseSeed(
-    SupervisedRowState& row, const SupervisorOptions& options,
-    const std::function<SupervisedTrialResult()>& attempt);
 
 // Full per-seed supervision of a plain seeded trial: each attempt runs in-process
 // under the deadline (or, with options.sandbox, in a fork()ed child killed at the
-// deadline), under the retry policy above. A reaped attempt's report carries the
-// deadline message and, when the trial left none, the reaper's postmortem; a crashed
-// one's carries "crashed: <what>". `stats` (nullable) accumulates reaped/crashed/
-// retried.
+// deadline), and a catastrophic attempt is retried until one is not or
+// options.max_attempts ran, sleeping retry_backoff × 2^(k-1) before retry k. An
+// attempt that merely fails its oracle is a result, never retried. Returns the last
+// attempt: a reaped one's report carries the deadline message and, when the trial
+// left none, the reaper's postmortem; a crashed one's carries "crashed: <what>".
+// `stats` (nullable) accumulates reaped/crashed/retried.
 SupervisedTrialResult RunSupervisedSeed(const SeededTrial& trial, std::uint64_t seed,
                                         const SupervisorOptions& options,
                                         SupervisorStats* stats);
@@ -305,12 +295,12 @@ struct SupervisedSweepReport {
 };
 
 // Sweeps seeds base_seed .. base_seed + num_seeds - 1 over every cell under
-// supervision, quarantining cells per `options.quarantine_after`; a quarantined cell's
-// remaining seeds are not run. Each cell is one sweep engine run (parallel_sweep.h) at
-// one job of a SuperviseSeed decorator around its trial, so cells run in input order
-// and seeds in seed order (supervised cells are the risky minority — OsRuntime, chaos,
-// soak — and their trials own real threads already; the deterministic bulk belongs in
-// ParallelSweepSchedules).
+// supervision. Each cell is one sweep engine run (parallel_sweep.h) at one job of
+// RunSupervisedSeed around its trial, so cells run in input order and seeds in seed
+// order; each seed is folded into the cell's SupervisionVerdict as it finishes, and
+// once the cell is quarantined its remaining seeds are not run (supervised cells are
+// the risky OsRuntime minority, whose trials own real threads already; the
+// deterministic bulk belongs in ParallelSweepSchedules).
 SupervisedSweepReport SuperviseSweep(const std::vector<SupervisedCell>& cells,
                                      int num_seeds, std::uint64_t base_seed,
                                      const SupervisorOptions& options);

@@ -104,7 +104,7 @@ ChaosTrialOutcome FullChaosRun(bool fault_on) {
   ChaosTrialOutcome run;
   run.completed = !fault_on;
   run.hung = fault_on;
-  run.skipped = false;
+  run.crashed = fault_on;
   run.oracle_failed = !fault_on;
   run.injected = fault_on ? 3 : 0;
   run.first_injection_step = fault_on ? 1234567890123ULL : 0;
@@ -120,7 +120,7 @@ ChaosTrialOutcome FullChaosRun(bool fault_on) {
 void ExpectSameRun(const ChaosTrialOutcome& a, const ChaosTrialOutcome& b) {
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.hung, b.hung);
-  EXPECT_EQ(a.skipped, b.skipped);
+  EXPECT_EQ(a.crashed, b.crashed);
   EXPECT_EQ(a.oracle_failed, b.oracle_failed);
   EXPECT_EQ(a.injected, b.injected);
   EXPECT_EQ(a.first_injection_step, b.first_injection_step);
@@ -166,12 +166,12 @@ TEST(CheckpointCodecTest, ChaosSeedPairRoundTripsEveryField) {
   ExpectSameRun(back.on, pair.on);
   ExpectSameRun(back.off, pair.off);
 
-  // A skipped seed: the fault-on run carries only the flag, the fault-off run is empty.
-  ChaosSeedPair skipped;
-  skipped.on.skipped = true;
-  ASSERT_TRUE(DecodeChaosSeedPair(EncodeChaosSeedPair(skipped), &back));
-  EXPECT_TRUE(back.on.skipped);
-  ExpectSameRun(back.off, ChaosTrialOutcome{});
+  // A crashed fault-off run: the bit the quarantine rule folds survives on its own.
+  ChaosSeedPair crashed;
+  crashed.off.crashed = true;
+  ASSERT_TRUE(DecodeChaosSeedPair(EncodeChaosSeedPair(crashed), &back));
+  EXPECT_TRUE(back.off.crashed);
+  ExpectSameRun(back.on, ChaosTrialOutcome{});
 }
 
 TEST(CheckpointCodecTest, MalformedRecordsAreRejected) {
@@ -184,7 +184,7 @@ TEST(CheckpointCodecTest, MalformedRecordsAreRejected) {
   ChaosSeedPair pair;
   pair.on.steps = 7;
   EXPECT_FALSE(DecodeChaosSeedPair("", &pair));
-  EXPECT_FALSE(DecodeChaosSeedPair("v=chaospair1", &pair));
+  EXPECT_FALSE(DecodeChaosSeedPair("v=chaospair2", &pair));
   EXPECT_EQ(pair.on.steps, 7u);
   // Kind confusion: a trial record never decodes as a chaos pair or vice versa.
   EXPECT_FALSE(DecodeChaosSeedPair(EncodeTrialReport(FullReport()), &pair));
@@ -202,14 +202,15 @@ TEST(CheckpointCodecTest, WrongVersionTagIsRejected) {
   TrialReport report;
   const std::string trial = EncodeTrialReport(FullReport());
   ASSERT_TRUE(DecodeTrialReport(trial, &report));
-  for (const char* tag : {"v=trial2", "v=sweep1", "v=", "v=chaospair1"}) {
+  for (const char* tag : {"v=trial2", "v=sweep1", "v=", "v=chaospair2"}) {
     EXPECT_FALSE(DecodeTrialReport(ReplaceField(trial, "v=trial1", tag), &report)) << tag;
   }
   ChaosSeedPair pair;
   const std::string chaos = EncodeChaosSeedPair(ChaosSeedPair{});
   ASSERT_TRUE(DecodeChaosSeedPair(chaos, &pair));
-  for (const char* tag : {"v=chaospair2", "v=chaos2", "v=chaos1", "v=trial1"}) {
-    EXPECT_FALSE(DecodeChaosSeedPair(ReplaceField(chaos, "v=chaospair1", tag), &pair))
+  for (const char* tag : {"v=chaospair1", "v=chaospair3", "v=chaos2", "v=chaos1",
+                          "v=trial1"}) {
+    EXPECT_FALSE(DecodeChaosSeedPair(ReplaceField(chaos, "v=chaospair2", tag), &pair))
         << tag;
   }
 }
@@ -624,6 +625,40 @@ TEST(CheckpointResumeTest, ForeignAndShortChunkPayloadsAreCacheMisses) {
   live_trials = 0;
   ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
   EXPECT_EQ(live_trials.load(), 0);
+  RemoveStore(path);
+}
+
+// hits() counts only restores the engine accepted: a chunk whose payload fails to
+// decode re-runs and is not a hit.
+TEST(CheckpointResumeTest, UndecodablePayloadIsNotAHit) {
+  const std::string path = TempPath("resume_undecodable.ckpt");
+  RemoveStore(path);
+  const std::string scope = "checkpoint_test/undecodable";
+  const int kSeeds = 40;  // Three chunks of kCheckpointChunkSeeds (16) seeds.
+  const SweepOutcome clean = SweepSchedules(kSeeds, SyntheticTrial, 1);
+  ParallelOptions options;
+  options.jobs = 2;
+  options.checkpoint_scope = scope;
+  {
+    CheckpointStore store(path);
+    options.checkpoint = &store;
+    ExpectOutcomesIdentical(SweepSchedules(kSeeds, SyntheticTrial, 1, options), clean);
+    store.Commit(ChunkKey(scope, "sweep", 1, kSeeds, 16, 1), "v=trial1;garbage");
+  }
+  CheckpointStore store(path);
+  ASSERT_EQ(store.Load(), 3);
+  options.checkpoint = &store;
+  std::atomic<int> live_trials{0};
+  const SweepOutcome resumed = SweepSchedules(
+      kSeeds,
+      std::function<TrialReport(std::uint64_t)>([&](std::uint64_t seed) {
+        ++live_trials;
+        return SyntheticTrial(seed);
+      }),
+      1, options);
+  ExpectOutcomesIdentical(resumed, clean);
+  EXPECT_EQ(live_trials.load(), 16);  // Only the undecodable chunk re-ran.
+  EXPECT_EQ(store.hits(), 2);
   RemoveStore(path);
 }
 

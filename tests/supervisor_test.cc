@@ -1,7 +1,9 @@
 // Trial supervisor (runtime/supervisor.h): hung-trial reaping under a wall-clock
 // deadline, crash capture, retry/quarantine policy, and the acceptance-criterion
 // scenario — a sweep with a permanently-hung cell and a crashing cell still completes
-// with every healthy cell's outcome bit-identical to a clean run.
+// with every healthy cell's outcome bit-identical to a clean run. Chaos rows are
+// supervised by their fold alone: no deadline touches them, and a quarantined row's
+// verdict survives a resume, SIGKILL included.
 //
 // The reaper tests run real OsRuntime threads and are kept in the tier-1 (fast) set
 // deliberately: they must stay TSan-clean, so the sanitizer CI configs exercise the
@@ -9,10 +11,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -27,6 +29,13 @@
 #include "syneval/runtime/checkpoint.h"
 #include "syneval/runtime/os_runtime.h"
 #include "syneval/runtime/supervisor.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <signal.h>
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define SYNEVAL_SANITIZED 1
@@ -100,6 +109,21 @@ TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
     EXPECT_GE(ActiveTrials(), base + 1);
   }
   EXPECT_EQ(ActiveTrials(), base);
+}
+
+// A running trial is registered once, by the sweep-pool worker that runs it; the
+// supervised attempt inside it adds nothing.
+TEST(ActiveTrialsTest, SupervisedCellCountsItsTrialOnce) {
+  auto seen = std::make_shared<std::atomic<int>>(0);
+  const std::vector<SupervisedCell> cells = {
+      {"records-gauge",
+       MakeSupervisableOsTrial([seen](OsRuntime&, std::uint64_t) {
+         seen->store(ActiveTrials());
+         return std::string();
+       })}};
+  const SupervisedSweepReport report = SuperviseSweep(cells, 1, 1, FastOptions());
+  ASSERT_EQ(report.cells[0].completed_seeds, 1);
+  EXPECT_EQ(seen->load(), 1);
 }
 
 // ---- Reaping --------------------------------------------------------------------------
@@ -365,9 +389,10 @@ void ExpectChaosOutcomesIdentical(const ChaosSweepOutcome& a, const ChaosSweepOu
   EXPECT_EQ(a.flight_evicted, b.flight_evicted);
 }
 
-// The acceptance criterion for the supervision seam: with no catastrophic seeds, the
-// supervised calibration table is field-by-field identical to the unsupervised one —
-// at a multi-worker job count, which also exercises the seam under the sweep pool.
+// With no crashed runs the supervised calibration table is field-by-field identical to
+// the unsupervised one, at a multi-worker job count. A 1 ms trial_deadline is given
+// on purpose: chaos trials are bounded in steps, so no wall-clock deadline reaps or
+// retries them, however short.
 TEST(SupervisedChaosTest, HealthySupervisedCalibrationIsBitIdenticalToUnsupervised) {
   ParallelOptions parallel;
   parallel.jobs = 2;
@@ -377,7 +402,7 @@ TEST(SupervisedChaosTest, HealthySupervisedCalibrationIsBitIdenticalToUnsupervis
 
   ChaosSupervision supervision;
   supervision.enabled = true;
-  supervision.options.trial_deadline = milliseconds(60000);  // Never fires.
+  supervision.options.trial_deadline = milliseconds(1);  // Applies to no chaos trial.
   const ChaosCalibrationTable supervised =
       RunChaosCalibration(2, 1, 1, parallel, supervision);
 
@@ -395,98 +420,76 @@ TEST(SupervisedChaosTest, HealthySupervisedCalibrationIsBitIdenticalToUnsupervis
   EXPECT_EQ(supervised.supervisor.quarantined, 0);
 }
 
-// A synthetic chaos trial that hangs until the supervisor aborts it through the
-// TrialAbortSlot seam, then returns what DetRuntime's abort path would: a hung
-// outcome that kept its injector counts and diagnosis.
-ChaosTrial HangingChaosTrial() {
-  return [](std::uint64_t, const FaultPlan* plan) -> ChaosTrialOutcome {
-    auto mu = std::make_shared<std::mutex>();
-    auto cv = std::make_shared<std::condition_variable>();
-    auto aborted = std::make_shared<bool>(false);
-    TrialAbortScope scope(
-        [mu, cv, aborted] {
-          std::lock_guard<std::mutex> lock(*mu);
-          *aborted = true;
-          cv->notify_all();
-        },
-        [] {
-          TrialObservation obs;
-          obs.cause = "synthetic-hang";
-          obs.text = "postmortem: synthetic-hang\n";
-          return obs;
-        });
-    std::unique_lock<std::mutex> lock(*mu);
-    cv->wait(lock, [&] { return *aborted; });
-    ChaosTrialOutcome out;
-    out.hung = true;
-    out.anomalies = 1;
-    out.steps = 100;
-    if (plan != nullptr) {
-      out.injected = 1;
-      out.first_injection_step = 10;
-    }
-    return out;
-  };
+// A synthetic row whose fault-on run throws on every third seed: with
+// quarantine_after = 2, seed 6 brings the count to two, so seeds 1-6 fold and 7-10
+// are skipped.
+ChaosTrialOutcome CrashEveryThirdSeed(std::uint64_t seed, const FaultPlan* plan) {
+  if (plan != nullptr && seed % 3 == 0) {
+    throw std::runtime_error("synthetic defect at seed " + std::to_string(seed));
+  }
+  ChaosTrialOutcome out;
+  out.completed = true;
+  out.steps = 100 + seed;
+  out.injected = plan != nullptr ? 1 : 0;
+  return out;
 }
 
-TEST(SupervisedChaosTest, ReapedHangStillCountsTowardRecallThenQuarantines) {
-  auto state = std::make_shared<chaos_internal::SupervisedRowState>();
-  SupervisorOptions options;
-  options.trial_deadline = milliseconds(100);
-  options.max_attempts = 2;
-  options.retry_backoff = milliseconds(1);
-  options.quarantine_after = 2;
-  const ChaosTrial wrapped =
-      chaos_internal::MakeSupervisedChaosTrial(HangingChaosTrial(), options, state);
-
-  const FaultPlan plan;
-  const ChaosSweepOutcome outcome = SweepChaos(/*num_seeds=*/3, wrapped, plan, 1);
-
-  // Seed 1 fault-on: reaped twice (one retry), catastrophic — but its outcome still
-  // folded as a detected harmful run, so the genuine hang counts toward recall.
-  EXPECT_EQ(outcome.runs, 1);
-  EXPECT_EQ(outcome.harmful, 1);
-  EXPECT_EQ(outcome.detected_harmful, 1);
-  EXPECT_EQ(outcome.Recall(), 1.0);
-  // Seed 1's matched fault-off run was the second catastrophic seed: quarantine. The
-  // remaining seeds were skipped without running anything.
-  EXPECT_EQ(outcome.skipped, 2);
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    EXPECT_TRUE(state->quarantined);
-    EXPECT_EQ(state->catastrophic_seeds, 2);
-    EXPECT_NE(state->quarantine_reason.find("catastrophic"), std::string::npos);
-    // The reaper's pre-abort harvest was kept as the row's last postmortem.
-    EXPECT_EQ(state->last_postmortem_cause, "synthetic-hang");
-    EXPECT_EQ(state->stats.reaped, 4);  // 2 attempts × (fault-on + fault-off).
-    EXPECT_EQ(state->stats.retried, 2);
-    EXPECT_EQ(state->stats.quarantined, 1);
-  }
+ChaosSupervision QuarantineAfterTwo() {
+  ChaosSupervision supervision;
+  supervision.enabled = true;
+  supervision.options.quarantine_after = 2;
+  return supervision;
 }
 
 TEST(SupervisedChaosTest, CrashingTrialIsQuarantinedExactly) {
-  auto state = std::make_shared<chaos_internal::SupervisedRowState>();
-  SupervisorOptions options;
-  options.trial_deadline = milliseconds(5000);
-  options.max_attempts = 1;
-  options.quarantine_after = 2;
-  const ChaosTrial wrapped = chaos_internal::MakeSupervisedChaosTrial(
+  const FaultPlan plan;
+  ChaosCalibrationRow row;
+  chaos_internal::SweepChaosRow(
       [](std::uint64_t, const FaultPlan*) -> ChaosTrialOutcome {
         throw std::runtime_error("synthetic trial defect");
       },
-      options, state);
+      plan, /*num_seeds=*/4, 1, ParallelOptions{}, QuarantineAfterTwo(), row);
+  // Seed 1's fault-on and fault-off runs both crashed: two catastrophic runs quarantine
+  // the row at seed 1, which folds (as two hung runs); seeds 2-4 are skipped.
+  EXPECT_EQ(row.outcome.runs, 1);
+  EXPECT_EQ(row.outcome.skipped, 3);
+  EXPECT_EQ(row.outcome.clean_failures, 1);
+  EXPECT_TRUE(row.quarantined);
+  EXPECT_EQ(row.catastrophic_seeds, 2);
+  EXPECT_EQ(row.stats.crashed, 2);
+  EXPECT_EQ(row.stats.quarantined, 1);
+  EXPECT_EQ(row.stats.reaped, 0);
+  EXPECT_EQ(row.stats.retried, 0);
+  EXPECT_TRUE(row.last_crash.crashed);
+  EXPECT_NE(row.quarantine_reason.find("synthetic trial defect"), std::string::npos)
+      << row.quarantine_reason;
+}
 
+// The verdict is a fold over the per-seed records, so it is the same at any worker
+// count and chunk size.
+TEST(SupervisedChaosTest, QuarantineIsTheSameAtAnyJobCount) {
   const FaultPlan plan;
-  const ChaosSweepOutcome outcome = SweepChaos(/*num_seeds=*/4, wrapped, plan, 1);
-  // The crash synthesizes the same hung outcome the unsupervised catch block folds,
-  // so the denominators stay in step; after quarantine the rest is skipped.
-  EXPECT_EQ(outcome.runs, 1);
-  EXPECT_EQ(outcome.skipped, 3);
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    EXPECT_TRUE(state->quarantined);
-    EXPECT_EQ(state->stats.crashed, 2);
-    EXPECT_NE(state->quarantine_reason.find("synthetic trial defect"), std::string::npos);
+  ChaosCalibrationRow serial;
+  chaos_internal::SweepChaosRow(CrashEveryThirdSeed, plan, 10, 1, ParallelOptions{},
+                                QuarantineAfterTwo(), serial);
+  EXPECT_TRUE(serial.quarantined);
+  EXPECT_EQ(serial.outcome.runs, 6);
+  EXPECT_EQ(serial.outcome.skipped, 4);
+  EXPECT_EQ(serial.stats.crashed, 2);
+  EXPECT_NE(serial.quarantine_reason.find("seed 6"), std::string::npos);
+  for (int jobs : {2, 4}) {
+    ParallelOptions parallel;
+    parallel.jobs = jobs;
+    parallel.chunk_seeds = 1;
+    ChaosCalibrationRow row;
+    chaos_internal::SweepChaosRow(CrashEveryThirdSeed, plan, 10, 1, parallel,
+                                  QuarantineAfterTwo(), row);
+    EXPECT_EQ(row.quarantined, serial.quarantined);
+    EXPECT_EQ(row.quarantine_reason, serial.quarantine_reason);
+    EXPECT_EQ(row.outcome.runs, serial.outcome.runs);
+    EXPECT_EQ(row.outcome.skipped, serial.outcome.skipped);
+    EXPECT_EQ(row.outcome.harmful, serial.outcome.harmful);
+    EXPECT_EQ(row.stats.crashed, serial.stats.crashed);
   }
 }
 
@@ -559,7 +562,114 @@ TEST(SupervisedChaosTest, ResumedSupervisedSoakIsBitIdentical) {
   std::remove((path + ".journal").c_str());
 }
 
+// A quarantined chaos row, swept once against a checkpoint store and then restored
+// from it, by a sweep of `jobs` workers.
+ChaosCalibrationRow SweepCrashingRow(CheckpointStore* store, int jobs,
+                                     const ChaosTrial& trial = CrashEveryThirdSeed) {
+  const FaultPlan plan;
+  ParallelOptions parallel;
+  parallel.jobs = jobs;
+  parallel.chunk_seeds = 1;  // The soak configuration: per-seed checkpoints.
+  parallel.checkpoint = store;
+  parallel.checkpoint_scope = "supervisor_test/crashing-row";
+  ChaosCalibrationRow row;
+  row.problem = "synthetic";
+  row.display = "crash every third seed";
+  row.fault = "crash";
+  chaos_internal::SweepChaosRow(trial, plan, /*num_seeds=*/10, 1, parallel,
+                                QuarantineAfterTwo(), row);
+  return row;
+}
+
+void ExpectSameVerdict(const ChaosCalibrationRow& a, const ChaosCalibrationRow& b) {
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.quarantine_reason, b.quarantine_reason);
+  EXPECT_EQ(a.catastrophic_seeds, b.catastrophic_seeds);
+  EXPECT_EQ(a.last_crash.what, b.last_crash.what);
+  EXPECT_EQ(a.last_postmortem_cause, b.last_postmortem_cause);
+  EXPECT_EQ(a.stats.crashed, b.stats.crashed);
+  EXPECT_EQ(a.stats.quarantined, b.stats.quarantined);
+  ExpectChaosOutcomesIdentical(a.outcome, b.outcome);
+  ChaosCalibrationTable ta, tb;
+  ta.rows = {a};
+  ta.supervisor = a.stats;
+  tb.rows = {b};
+  tb.supervisor = b.stats;
+  EXPECT_EQ(ta.QuarantineJson(), tb.QuarantineJson());
+}
+
+// A restored row recomputes its quarantine from the restored records: the verdict does
+// not live anywhere else.
+TEST(SupervisedChaosTest, RestoredQuarantinedRowKeepsItsVerdict) {
+  const std::string path = testing::TempDir() + "/quarantined_row.ckpt";
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
+  ChaosCalibrationRow live;
+  {
+    CheckpointStore store(path);
+    live = SweepCrashingRow(&store, /*jobs=*/2);
+  }
+  ASSERT_TRUE(live.quarantined);
+  EXPECT_EQ(live.outcome.skipped, 4);
+  CheckpointStore store(path);
+  ASSERT_EQ(store.Load(), 10);
+  int calls = 0;
+  const ChaosCalibrationRow restored =
+      SweepCrashingRow(&store, /*jobs=*/1, [&calls](std::uint64_t seed, const FaultPlan* plan) {
+        ++calls;
+        return CrashEveryThirdSeed(seed, plan);
+      });
+  EXPECT_EQ(calls, 0);  // Every seed restored, nothing re-ran.
+  EXPECT_EQ(store.hits(), 10);
+  ExpectSameVerdict(restored, live);
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
+}
+
 #if (defined(__unix__) || defined(__APPLE__)) && !defined(SYNEVAL_SANITIZED)
+// The same row SIGKILLed mid-sweep and resumed: the resumed verdict equals an
+// uninterrupted sweep's.
+TEST(SupervisedChaosTest, SigkilledQuarantinedRowResumesWithItsVerdict) {
+  const std::string path = testing::TempDir() + "/quarantined_row_kill.ckpt";
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
+  const ChaosCalibrationRow uninterrupted = SweepCrashingRow(nullptr, 1);
+
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    CheckpointStore store(path);
+    (void)SweepCrashingRow(&store, 2, [](std::uint64_t seed, const FaultPlan* plan) {
+      std::this_thread::sleep_for(milliseconds(20));
+      return CrashEveryThirdSeed(seed, plan);
+    });
+    _exit(0);  // Finished before the kill: the resume below restores everything.
+  }
+  // Kill once the journal holds a few seeds (header + 3 entries).
+  for (int i = 0; i < 2000; ++i) {
+    std::ifstream f(path + ".journal");
+    std::string line;
+    int lines = 0;
+    while (std::getline(f, line)) {
+      ++lines;
+    }
+    if (lines >= 4) {
+      break;
+    }
+    std::this_thread::sleep_for(milliseconds(2));
+  }
+  kill(child, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+
+  CheckpointStore store(path);
+  store.Load();
+  const ChaosCalibrationRow resumed = SweepCrashingRow(&store, 2);
+  ExpectSameVerdict(resumed, uninterrupted);
+  std::remove(path.c_str());
+  std::remove((path + ".journal").c_str());
+}
+
 // ---- Process sandbox (fork) -----------------------------------------------------------
 
 TEST(SupervisorSandboxTest, SegfaultingChildBecomesStructuredCrash) {
