@@ -18,9 +18,9 @@
 // --soak=1 runs the supervised long-soak configuration: seeds default to
 // kSoakSeedsPerCase, each row's fold quarantines it once quarantine_after of its runs
 // crashed (fault/chaos.h: the seeds after that one are skipped, and the row is reported
-// with its gates skipped), and — with --resume — checkpoints are per-seed
-// (chunk_seeds=1) so a SIGKILL anywhere loses at most the seed in flight. Every trial
-// is bounded by its DetRuntime step budget, not by a wall-clock deadline, so the rows,
+// with its gates skipped). With --resume, as for every sweep, each seed is committed
+// on its own, so a SIGKILL anywhere loses at most the seeds in flight. Every trial is
+// bounded by its DetRuntime step budget, not by a wall-clock deadline, so the rows,
 // QUARANTINED lines and --quarantine-out file are identical at any --jobs and across
 // --resume; healthy rows equal an unsupervised run's. --trial-deadline is refused:
 // there is no wall-clock supervision to configure.
@@ -104,18 +104,13 @@ int main(int argc, char** argv) {
 
   // The calibration table is bit-identical at any worker count (one fold in seed order,
   // runtime/parallel_sweep.h), so the golden-file diff is safe under --jobs — and
-  // under --resume, which restores already-run chunks from the checkpoint file.
+  // under --resume, which restores already-run seeds from the checkpoint log.
   const std::unique_ptr<syneval::CheckpointStore> store =
       syneval::bench::MakeCheckpointStore(options);
   syneval::ParallelOptions parallel = options.Parallel();
   if (store != nullptr) {
     parallel.checkpoint = store.get();
     parallel.checkpoint_scope = options.bench;  // RunChaosCalibration scopes per row.
-    if (soak) {
-      // Per-seed checkpoints: with the write-ahead journal flushing every commit, a
-      // SIGKILLed soak resumes having lost at most the single seed in flight.
-      parallel.chunk_seeds = 1;
-    }
   }
   const syneval::ChaosCalibrationTable table = syneval::RunChaosCalibration(
       options.SeedsOr(soak ? kSoakSeedsPerCase : kSeedsPerCase), /*base_seed=*/1,
@@ -128,17 +123,7 @@ int main(int argc, char** argv) {
                 table.supervisor.reaped, table.supervisor.crashed,
                 table.supervisor.retried, table.supervisor.quarantined);
   }
-  if (store != nullptr) {
-    // Restored = chunks whose records decoded (the workers' `cached`), not store hits:
-    // a hit whose payload fails to decode re-runs its chunk.
-    int restored = 0;
-    for (const syneval::WorkerTelemetry& worker : table.workers) {
-      restored += worker.cached;
-    }
-    std::printf("resume: %d chunk(s) restored, %d now checkpointed in %s\n", restored,
-                store->size(), store->path().c_str());
-    reporter.SetJournal(store->appends(), store->compactions(), store->replayed());
-  }
+  syneval::bench::ReportResume(store.get(), reporter);
   if (!options.quarantine_path.empty()) {
     if (table.WriteQuarantineFile(options.quarantine_path)) {
       std::printf("wrote %s\n", options.quarantine_path.c_str());

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   syneval::ReportOptions report_options;
   report_options.conformance_seeds = options.SeedsOr(15);
   report_options.parallel = options.Parallel();
-  // --resume: the report's conformance and chaos sweeps checkpoint their chunks (the
+  // --resume: the report's conformance and chaos sweeps checkpoint their seeds (the
   // suite functions scope keys per case/row); a killed run picks up where it left off
   // and the report text stays bit-identical. The DPOR section opts itself out.
   const std::unique_ptr<syneval::CheckpointStore> store =
@@ -58,10 +58,7 @@ int main(int argc, char** argv) {
   if (tail != std::string::npos) {
     std::printf("%s\n", report.substr(tail).c_str());
   }
-  if (store != nullptr) {
-    std::printf("resume: %d chunk(s) restored, %d now checkpointed in %s\n",
-                store->hits(), store->size(), store->path().c_str());
-  }
+  syneval::bench::ReportResume(store.get(), reporter);
   std::printf("report generated in %.3fs (conformance seeds per case: %d)\n",
               wall_seconds, report_options.conformance_seeds);
   return reporter.Finish() ? 0 : 1;

@@ -25,7 +25,7 @@ void PrintUsage(const std::string& bench_name, std::ostream& os) {
      << "  --warmup=<n>      unrecorded warmup repetitions (default 1)\n"
      << "  --jobs=<n>        sweep workers; 0 = auto via SYNEVAL_JOBS/hardware (default 0)\n"
      << "  --seeds=<n>       schedule seeds per sweep; 0 = bench default (default 0)\n"
-     << "  --resume=<path>   checkpoint file: restore swept chunks, snapshot new ones\n"
+     << "  --resume=<path>   checkpoint log: restore swept seeds, append new ones\n"
      << "  --trial-deadline=<ms>  per-trial deadline for supervised OsRuntime benches (0 = off)\n"
      << "  --quarantine-out=<path>  write quarantine.json (supervised benches)\n"
      << "  --help            this message\n";
@@ -80,9 +80,18 @@ std::unique_ptr<CheckpointStore> MakeCheckpointStore(const Options& options) {
   }
   auto store = std::make_unique<CheckpointStore>(options.resume_path);
   const int loaded = store->Load();
-  std::printf("resume: %d checkpointed chunk(s) loaded from %s\n", loaded,
+  std::printf("resume: %d checkpointed seed(s) loaded from %s\n", loaded,
               options.resume_path.c_str());
   return store;
+}
+
+void ReportResume(const CheckpointStore* store, Reporter& reporter) {
+  if (store == nullptr) {
+    return;
+  }
+  std::printf("resume: %d seed(s) restored, %d now checkpointed in %s\n", store->hits(),
+              store->size(), store->path().c_str());
+  reporter.SetJournal(store->appends(), store->replayed());
 }
 
 Options ParseArgs(int argc, char** argv, const std::string& bench_name,
@@ -195,10 +204,9 @@ void Reporter::SetSupervisor(const SupervisorStats& stats) {
   supervisor_ = stats;
 }
 
-void Reporter::SetJournal(int appends, int compactions, int replayed) {
+void Reporter::SetJournal(int appends, int replayed) {
   have_journal_ = true;
   journal_appends_ = appends;
-  journal_compactions_ = compactions;
   journal_replayed_ = replayed;
 }
 
@@ -263,7 +271,6 @@ bool Reporter::Finish() const {
   }
   if (have_journal_) {
     out << ",\"journal\":{\"appends\":" << journal_appends_
-        << ",\"compactions\":" << journal_compactions_
         << ",\"replayed\":" << journal_replayed_ << "}";
   }
   if (!postmortems_.empty()) {

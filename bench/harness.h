@@ -11,10 +11,10 @@
 //       --jobs=<n>        sweep worker count (0 = auto: SYNEVAL_JOBS env, then
 //                         hardware_concurrency; sweeps are bit-identical at any n)
 //       --seeds=<n>       schedule seeds per sweep (0 = the bench's default count)
-//       --resume=<path>   checkpoint snapshot file (runtime/checkpoint.h): chunks
-//                         already run in a previous (possibly killed) run are
-//                         restored instead of re-run; the folded outcome is
-//                         bit-identical to an uninterrupted sweep
+//       --resume=<path>   checkpoint log (runtime/checkpoint.h): seeds already
+//                         run in a previous (possibly killed) run are restored
+//                         instead of re-run; the folded outcome is bit-identical
+//                         to an uninterrupted sweep
 //       --trial-deadline=<ms>  per-trial wall-clock budget for supervised OsRuntime
 //                         benches (runtime/supervisor.h); 0 disables reaping
 //       --quarantine-out=<path>  where supervised benches write quarantine.json
@@ -36,7 +36,7 @@
 //                     "cached": ..., "wall_seconds": ...}, ...],  // ditto: per-worker
 //        "supervisor": {"reaped": ..., "crashed": ..., "retried": ...,
 //                       "quarantined": ...},        // only for supervised benches
-//        "journal": {"appends": ..., "compactions": ...,
+//        "journal": {"appends": ...,
 //                    "replayed": ...},              // only for --resume benches
 //        "postmortem": [{"mechanism": "...", "problem": "...", "seed": <n>,
 //                        "cause": "...", "text": "...",
@@ -51,10 +51,10 @@
 //     schema_version 3 added the optional top-level "postmortem" array (flight-recorder
 //     narratives of anomalous trials — see src/syneval/telemetry/postmortem.h);
 //     schema_version 4 added the optional top-level "supervisor" counters
-//     (runtime/supervisor.h) and the "cached" field on worker rows (chunks restored
+//     (runtime/supervisor.h) and the "cached" field on worker rows (seeds restored
 //     from a --resume checkpoint); schema_version 5 added the optional top-level
-//     "journal" counters (runtime/checkpoint.h write-ahead-journal telemetry: appends
-//     written, compactions performed, entries replayed over the snapshot on Load).
+//     "journal" counters (runtime/checkpoint.h log telemetry: lines appended, and
+//     lines read on Load).
 //     The worker telemetry, supervisor counters, journal counters, and postmortems
 //     deliberately live OUTSIDE "results" so golden-file diffs over the deterministic
 //     rows never see machine-dependent timings or multi-line narratives.
@@ -179,10 +179,10 @@ class Reporter {
   // top-level "supervisor" object of the v4 schema.
   void SetSupervisor(const SupervisorStats& stats);
 
-  // Checkpoint-journal counters for benches that ran with --resume: emitted as the
+  // Checkpoint-log counters for benches that ran with --resume: emitted as the
   // top-level "journal" object of the v5 schema (CheckpointStore::appends() /
-  // compactions() / replayed()).
-  void SetJournal(int appends, int compactions, int replayed);
+  // replayed()).
+  void SetJournal(int appends, int replayed);
 
   // One retained postmortem, emitted under the top-level "postmortem" array of the
   // v3 schema. `detail_json` is an optional pre-rendered JSON object
@@ -230,10 +230,14 @@ class Reporter {
   SupervisorStats supervisor_;
   bool have_journal_ = false;
   int journal_appends_ = 0;
-  int journal_compactions_ = 0;
   int journal_replayed_ = 0;
   std::vector<PostmortemEntry> postmortems_;
 };
+
+// After the sweeps: prints "resume: N seed(s) restored, M now checkpointed in <path>"
+// (N = the store's hits(), which count only records that decoded) and records the
+// store's log counters as the reporter's "journal" object. No-op for a null store.
+void ReportResume(const CheckpointStore* store, Reporter& reporter);
 
 }  // namespace bench
 }  // namespace syneval

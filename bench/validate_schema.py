@@ -13,7 +13,7 @@ Every file must be a schema-5 document as bench/harness.cc writes it:
   * "workers" (optional): each shard carries worker, trials, chunks, steals, cached
     and wall_seconds;
   * "supervisor" (optional): reaped, crashed, retried and quarantined;
-  * "journal" (optional): appends, compactions and replayed;
+  * "journal" (optional): appends and replayed;
   * "postmortem" (optional): each entry carries mechanism, problem, seed, cause and
     text — the replay coordinates a red run's artifact is useless without.
 
@@ -30,7 +30,7 @@ SCHEMA_VERSION = 5
 ROW_KEYS = {"bench", "mechanism", "problem", "metric", "value", "unit"}
 WORKER_KEYS = {"worker", "trials", "chunks", "steals", "cached", "wall_seconds"}
 SUPERVISOR_KEYS = {"reaped", "crashed", "retried", "quarantined"}
-JOURNAL_KEYS = {"appends", "compactions", "replayed"}
+JOURNAL_KEYS = {"appends", "replayed"}
 POSTMORTEM_KEYS = {"mechanism", "problem", "seed", "cause", "text"}
 
 

@@ -144,9 +144,9 @@ std::vector<ConformanceResult> RunConformanceSuite(int seeds, int workload_scale
                                                    const ParallelOptions& parallel) {
   std::vector<ConformanceResult> results;
   for (const ConformanceCase& c : BuildConformanceSuite(workload_scale)) {
-    // Under checkpointing every case needs its own key namespace — the per-chunk keys
-    // only carry (kind, seed range, chunk layout), identical across cases. The scope
-    // also pins the workload scale: a resumed sweep at a different scale must miss.
+    // Under checkpointing every case needs its own key namespace — the per-seed keys
+    // only carry (kind, base seed, seed), identical across cases. The scope also pins
+    // the workload scale: a resumed sweep at a different scale must miss.
     ParallelOptions scoped = parallel;
     if (scoped.checkpoint != nullptr) {
       scoped.checkpoint_scope += "/conformance/" + c.problem + "/" + c.display +

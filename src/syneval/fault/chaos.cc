@@ -291,7 +291,7 @@ ChaosCalibrationTable RunChaosCalibration(int seeds_per_case, std::uint64_t base
       row.fault = family.name;
       row.plan = family.plan_text;
       // Per-row key namespace under checkpointing (see RunConformanceSuite): the
-      // chunk keys alone cannot distinguish rows, and the scope pins the scale.
+      // per-seed keys alone cannot distinguish rows, and the scope pins the scale.
       ParallelOptions scoped = parallel;
       if (scoped.checkpoint != nullptr) {
         scoped.checkpoint_scope += "/chaos/" + chaos_case.problem + "/" +

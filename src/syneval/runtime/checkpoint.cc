@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -11,6 +12,8 @@
 namespace syneval {
 
 namespace {
+
+constexpr std::string_view kLogHeader = "syneval-journal v2";
 
 // Field-record helpers. A record is "k=v;k=v;..." where every key and value has been
 // through CheckpointEscape, so splitting on ';' and the first '=' is unambiguous.
@@ -190,7 +193,6 @@ std::string CheckpointEscape(std::string_view s) {
       case '\t': out += "\\t"; break;
       case ';': out += "\\s"; break;
       case '=': out += "\\e"; break;
-      case ',': out += "\\c"; break;
       default: out += c; break;
     }
   }
@@ -212,7 +214,6 @@ std::string CheckpointUnescape(std::string_view s) {
       case 't': out += '\t'; break;
       case 's': out += ';'; break;
       case 'e': out += '='; break;
-      case 'c': out += ','; break;
       default: out += s[i]; break;  // Unknown escape: keep the literal character.
     }
   }
@@ -268,92 +269,68 @@ bool DecodeChaosSeedPair(const std::string& payload, ChaosSeedPair* out) {
   return true;
 }
 
-std::string ChunkKey(std::string_view scope, std::string_view kind,
-                     std::uint64_t base_seed, int num_seeds, int chunk_seeds,
-                     int chunk_index) {
-  std::string key = CheckpointEscape(scope);
-  key += '|';
-  key += kind;
+std::string SeedKey(std::string_view scope, std::string_view kind, std::uint64_t base_seed,
+                    std::uint64_t seed) {
+  // The fixed-format fields come first, so no scope string can forge another key.
+  std::string key(kind);
   key += "|b";
   key += std::to_string(base_seed);
-  key += "|n";
-  key += std::to_string(num_seeds);
-  key += "|c";
-  key += std::to_string(chunk_seeds);
-  key += "|k";
-  key += std::to_string(chunk_index);
+  key += "|s";
+  key += std::to_string(seed);
+  key += '|';
+  key += scope;
   return key;
 }
 
 CheckpointStore::CheckpointStore(std::string path) : path_(std::move(path)) {}
 
 CheckpointStore::~CheckpointStore() {
-  // Every commit is already durable in the journal (write-ahead, flushed per
-  // append); there is nothing pending to save.
+  // Every commit is already durable in the log (flushed per append); there is
+  // nothing pending to save.
   std::lock_guard<std::mutex> lock(mu_);
-  if (journal_.is_open()) {
-    journal_.close();
+  if (log_.is_open()) {
+    log_.close();
   }
 }
 
 int CheckpointStore::Load() {
   std::lock_guard<std::mutex> lock(mu_);
+  std::string data;
   {
-    std::ifstream in(path_);
-    if (in) {
-      std::string line;
-      if (std::getline(in, line) && line == "syneval-checkpoint v1") {
-        while (std::getline(in, line)) {
-          const std::size_t tab = line.find('\t');
-          if (tab == std::string::npos || tab == 0) {
-            continue;  // Malformed line: skip; the chunk just gets re-run.
-          }
-          entries_[CheckpointUnescape(std::string_view(line).substr(0, tab))] =
-              CheckpointUnescape(std::string_view(line).substr(tab + 1));
-        }
-      }
-      // Missing/foreign header: treat the snapshot as empty rather than misread it.
+    std::ifstream in(path_, std::ios::binary);
+    if (!in) {
+      return 0;
     }
+    // Whole-file read so the torn-tail check is exact: std::getline cannot tell a
+    // complete final line from one cut short by SIGKILL mid-append.
+    data.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  // The journal replays OVER the snapshot: entries appended after the last
-  // compaction, or re-appended during a crashed compaction (idempotent duplicates).
-  // replayed_ counts lines replayed; the return value is distinct entries, so
-  // duplicates (same key in snapshot and journal) are not double-counted.
-  replayed_ = ReplayJournalLocked();
-  return static_cast<int>(entries_.size());
-}
-
-int CheckpointStore::ReplayJournalLocked() {
-  std::ifstream in(journal_path(), std::ios::binary);
-  if (!in) {
-    return 0;
-  }
-  // Whole-file read so the torn-tail check is exact: std::getline cannot tell a
-  // complete final line from one cut short by SIGKILL mid-append.
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // `valid` ends the header and every complete line after it; 0 when the header is
+  // missing, foreign or torn, so the whole file is restarted.
+  std::size_t valid = 0;
   std::size_t nl = data.find('\n');
-  if (nl == std::string::npos ||
-      std::string_view(data).substr(0, nl) != "syneval-journal v1") {
-    return 0;  // Missing/foreign/torn header: treat the journal as empty.
-  }
-  std::size_t pos = nl + 1;
-  int replayed = 0;
-  while (pos < data.size()) {
-    nl = data.find('\n', pos);
-    if (nl == std::string::npos) {
-      break;  // Torn final append (no terminating newline): a cache miss, no more.
+  if (nl != std::string::npos && std::string_view(data).substr(0, nl) == kLogHeader) {
+    valid = nl + 1;
+    while ((nl = data.find('\n', valid)) != std::string::npos) {
+      const std::string_view line = std::string_view(data).substr(valid, nl - valid);
+      valid = nl + 1;
+      const std::size_t tab = line.find('\t');
+      if (tab == std::string_view::npos || tab == 0) {
+        continue;  // Malformed line: skip; the seed just gets re-run.
+      }
+      entries_[CheckpointUnescape(line.substr(0, tab))] =
+          CheckpointUnescape(line.substr(tab + 1));
+      ++replayed_;
     }
-    const std::string_view line = std::string_view(data).substr(pos, nl - pos);
-    pos = nl + 1;
-    const std::size_t tab = line.find('\t');
-    if (tab == std::string_view::npos || tab == 0) {
-      continue;  // Malformed line: skip; the chunk just gets re-run.
-    }
-    entries_[CheckpointUnescape(line.substr(0, tab))] =
-        CheckpointUnescape(line.substr(tab + 1));
-    ++replayed;
   }
-  return replayed;
+  // Cut what follows the last complete line (a torn append, or a foreign file): an
+  // append after it would otherwise be glued onto the torn line and read back as
+  // that line's key with this one's record.
+  if (valid < data.size()) {
+    std::error_code ignored;
+    std::filesystem::resize_file(path_, valid, ignored);
+  }
+  return static_cast<int>(entries_.size());
 }
 
 bool CheckpointStore::Lookup(const std::string& key, std::string* payload,
@@ -377,65 +354,20 @@ bool CheckpointStore::Lookup(const std::string& key, std::string* payload,
 
 void CheckpointStore::Commit(const std::string& key, std::string payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  AppendJournalLocked(key, payload);
+  if (!log_.is_open()) {
+    log_.clear();
+    log_.open(path_, std::ios::binary | std::ios::app);
+    std::error_code ignored;
+    if (log_ && std::filesystem::file_size(path_, ignored) == 0) {
+      log_ << kLogHeader << '\n';
+    }
+  }
+  log_ << CheckpointEscape(key) << '\t' << CheckpointEscape(payload) << '\n';
+  // Flushed per append: what makes a SIGKILL anywhere lose at most the append it
+  // interrupted (the torn tail Load() cuts).
+  log_.flush();
   entries_[key] = std::move(payload);
   ++appends_;
-  if (++pending_ >= flush_every_) {
-    CompactLocked();
-  }
-}
-
-bool CheckpointStore::AppendJournalLocked(const std::string& key,
-                                          const std::string& payload) {
-  if (!journal_.is_open()) {
-    journal_.clear();
-    journal_.open(journal_path(), std::ios::app);
-    if (!journal_) {
-      return false;
-    }
-    if (journal_.tellp() == std::ofstream::pos_type(0)) {
-      journal_ << "syneval-journal v1\n";
-    }
-  }
-  journal_ << CheckpointEscape(key) << '\t' << CheckpointEscape(payload) << '\n';
-  // Flushed per append: the write-ahead property is what makes a SIGKILL anywhere
-  // lose at most the append it interrupted (the torn tail Load() discards).
-  journal_.flush();
-  return static_cast<bool>(journal_);
-}
-
-bool CheckpointStore::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return CompactLocked();
-}
-
-bool CheckpointStore::CompactLocked() {
-  std::string snapshot = "syneval-checkpoint v1\n";
-  for (const auto& [key, payload] : entries_) {
-    snapshot += CheckpointEscape(key) + '\t' + CheckpointEscape(payload) + '\n';
-  }
-  if (!WriteFileAtomically(path_, snapshot)) {
-    return false;
-  }
-  // Only after the snapshot rename landed is the journal redundant. A crash between
-  // the rename and this truncation leaves its entries to replay as idempotent
-  // duplicates over the fresh snapshot — never a loss.
-  if (journal_.is_open()) {
-    journal_.close();
-  }
-  {
-    std::ofstream truncated(journal_path(), std::ios::trunc);
-    truncated << "syneval-journal v1\n";
-    truncated.flush();
-  }
-  pending_ = 0;
-  ++compactions_;
-  return true;
-}
-
-void CheckpointStore::SetFlushEvery(int n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  flush_every_ = n < 1 ? 1 : n;
 }
 
 int CheckpointStore::size() const {
@@ -451,11 +383,6 @@ int CheckpointStore::hits() const {
 int CheckpointStore::appends() const {
   std::lock_guard<std::mutex> lock(mu_);
   return appends_;
-}
-
-int CheckpointStore::compactions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return compactions_;
 }
 
 int CheckpointStore::replayed() const {

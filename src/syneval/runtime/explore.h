@@ -39,17 +39,15 @@ struct ParallelOptions {
   // when set to a positive integer, otherwise hardware_concurrency().
   int jobs = 1;
   // Seeds per stealable chunk. 0 = auto (sized so each worker sees several chunks,
-  // keeping the steal queue useful without shredding cache locality). With a
-  // checkpoint attached, auto pins a fixed chunk size instead, so the chunk layout —
-  // which is part of every checkpoint key — is independent of the worker count and a
-  // sweep can resume under a different --jobs.
+  // keeping the steal queue useful without shredding cache locality). Only the pool's
+  // scheduling grain: it changes neither the outcome nor the checkpoint keys.
   int chunk_seeds = 0;
 
-  // Checkpoint/resume (runtime/checkpoint.h). When non-null, every chunk's per-seed
-  // records are committed to the store under a key derived from (checkpoint_scope,
-  // sweep kind, base seed, seed count, chunk layout, chunk index), and chunks already
-  // present are restored instead of re-run — so a killed sweep, resumed against the
-  // same store, folds bit-identical to an uninterrupted run. `checkpoint_scope` must
+  // Checkpoint/resume (runtime/checkpoint.h). When non-null, every seed's record is
+  // committed to the store under a key derived from (checkpoint_scope, sweep kind,
+  // base seed, seed), and seeds already present are restored instead of re-run — so
+  // a killed sweep, resumed against the same store under any worker count or chunk
+  // size, folds bit-identical to an uninterrupted run. `checkpoint_scope` must
   // identify everything that shapes the trial beyond the seed (suite case, workload
   // scale, fault plan); sweep entry points that know that context (conformance, chaos
   // calibration) append it themselves.

@@ -65,41 +65,6 @@ int AutoChunkSeeds(int num_seeds, int jobs) {
   return std::clamp(chunk, 1, 64);
 }
 
-// Auto chunk size under checkpointing. AutoChunkSeeds depends on the worker count,
-// but the chunk layout is part of every checkpoint key — a resumed sweep must cut the
-// seed range identically under any --jobs, so the layout is pinned instead.
-constexpr int kCheckpointChunkSeeds = 16;
-
-// A chunk's payload: its seeds' records in seed order, joined by ','. Records carry no
-// raw ',' (SeedCodec), so the join needs no escaping of its own.
-std::string EncodeChunk(const sweep_internal::SeedSlots& slots, int begin, int end) {
-  std::string payload;
-  for (int i = begin; i < end; ++i) {
-    if (i > begin) {
-      payload += ',';
-    }
-    payload += slots.encode(i);
-  }
-  return payload;
-}
-
-// Restores seeds [begin, end) from a chunk payload. False — a cache miss — unless the
-// payload holds exactly one decodable record per seed.
-bool RestoreChunk(const sweep_internal::SeedSlots& slots, int begin, int end,
-                  const std::string& payload) {
-  std::size_t pos = 0;
-  for (int i = begin; i < end; ++i) {
-    // Every record but the last ends at a ','; the last one ends the payload.
-    const std::size_t comma = payload.find(',', pos);
-    if ((comma == std::string::npos) != (i + 1 == end) ||
-        !slots.decode(i, payload.substr(pos, comma - pos))) {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return true;
-}
-
 // The two sweeps' per-seed records (runtime/checkpoint.h).
 constexpr SeedCodec<TrialReport> kTrialCodec{"sweep", EncodeTrialReport,
                                              DecodeTrialReport};
@@ -119,9 +84,8 @@ void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& 
     return;
   }
   CheckpointStore* const store = slots.kind != nullptr ? options.checkpoint : nullptr;
-  const int chunk_seeds = options.chunk_seeds > 0 ? options.chunk_seeds
-                          : store != nullptr     ? kCheckpointChunkSeeds
-                                                 : AutoChunkSeeds(num_seeds, run->jobs);
+  const int chunk_seeds =
+      options.chunk_seeds > 0 ? options.chunk_seeds : AutoChunkSeeds(num_seeds, run->jobs);
   const int num_chunks = (num_seeds + chunk_seeds - 1) / chunk_seeds;
   const int jobs = run->jobs = std::min(run->jobs, num_chunks);
 
@@ -157,31 +121,30 @@ void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& 
         }
       }
       shard.steals += stolen ? 1 : 0;
-      const int begin = chunk * chunk_seeds;
-      const int end = std::min(begin + chunk_seeds, num_seeds);
-      std::string key;
-      if (store != nullptr) {
-        key = ChunkKey(options.checkpoint_scope, slots.kind, base_seed, num_seeds,
-                       chunk_seeds, chunk);
-        std::string payload;
-        // A payload that fails to decode (foreign writer, an older record version, a
-        // truncated entry the atomic snapshot should make impossible) is a plain cache
-        // miss: the chunk re-runs, and the store does not count it as a hit.
-        if (store->Lookup(key, &payload, [&](const std::string& found) {
-              return RestoreChunk(slots, begin, end, found);
-            })) {
-          ++shard.cached;
-          continue;
+      ++shard.chunks;
+      const int end = std::min((chunk + 1) * chunk_seeds, num_seeds);
+      for (int i = chunk * chunk_seeds; i < end; ++i) {
+        std::string key;
+        if (store != nullptr) {
+          key = SeedKey(options.checkpoint_scope, slots.kind, base_seed,
+                        base_seed + static_cast<std::uint64_t>(i));
+          std::string record;
+          // A record that fails to decode (an older record version, a foreign writer)
+          // is a plain cache miss: the seed re-runs, and the store does not count it
+          // as a hit.
+          if (store->Lookup(key, &record, [&](const std::string& found) {
+                return slots.decode(i, found);
+              })) {
+            ++shard.cached;
+            continue;
+          }
+        }
+        slots.run(i);
+        ++shard.trials;
+        if (store != nullptr) {
+          store->Commit(key, slots.encode(i));
         }
       }
-      for (int i = begin; i < end; ++i) {
-        slots.run(i);
-      }
-      if (store != nullptr) {
-        store->Commit(key, EncodeChunk(slots, begin, end));
-      }
-      shard.trials += end - begin;
-      ++shard.chunks;
     }
     shard.wall_seconds = SecondsSince(worker_start);
   };
@@ -194,9 +157,6 @@ void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& 
   worker_body(0);  // The calling thread is worker 0.
   for (std::thread& thread : pool) {
     thread.join();
-  }
-  if (store != nullptr) {
-    store->Flush();  // Final snapshot: a re-run of this sweep is all cache hits.
   }
   run->wall_seconds = SecondsSince(sweep_start);
 }
@@ -235,9 +195,7 @@ ParallelSweepResult ParallelSweepSchedules(
     sweep_internal::AccumulateTrial(std::move(sweep.results[i]), base_seed + i,
                                     result.outcome);
   }
-  result.jobs = sweep.jobs;
-  result.wall_seconds = sweep.wall_seconds;
-  result.workers = std::move(sweep.workers);
+  static_cast<SweepRun&>(result) = std::move(sweep);
   return result;
 }
 
@@ -263,9 +221,7 @@ ParallelChaosResult ParallelSweepChaos(
     sweep_internal::AccumulateChaosTrial(std::move(sweep.results[i]), base_seed + i,
                                          result.outcome);
   }
-  result.jobs = sweep.jobs;
-  result.wall_seconds = sweep.wall_seconds;
-  result.workers = std::move(sweep.workers);
+  static_cast<SweepRun&>(result) = std::move(sweep);
   return result;
 }
 

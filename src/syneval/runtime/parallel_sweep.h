@@ -11,7 +11,8 @@
 //     range is cut into contiguous CHUNKS of seeds, dealt to a fixed-size pool of
 //     workers, each of which drains its own queue front-to-back and STEALS from the
 //     back of a sibling's queue when it runs dry. Steal order decides only which
-//     thread runs a seed; each result lands in its seed's slot.
+//     thread runs a seed; each result lands in its seed's slot. A chunk is only the
+//     scheduling grain: nothing outside the pool sees it.
 //   * After all workers join, each sweep folds the results ONCE, in seed order
 //     (sweep_internal::AccumulateTrial / AccumulateChaosTrial). There is one fold and
 //     one order, so the aggregate is the same at any worker count, chunk size, or
@@ -26,9 +27,10 @@
 // invoke concurrently from multiple threads — every trial in this repository already
 // is, because trials share no state by construction.
 //
-// With a CheckpointStore (ParallelOptions::checkpoint) and a SeedCodec, every chunk
-// commits its seeds' records to the store and a chunk already present is restored
-// instead of re-run (runtime/checkpoint.h).
+// With a CheckpointStore (ParallelOptions::checkpoint) and a SeedCodec, every seed
+// commits its record to the store under its SeedKey, and a seed already present is
+// restored instead of re-run (runtime/checkpoint.h) — under any worker count and any
+// chunk size.
 //
 // docs/PARALLEL_EXPLORATION.md documents the determinism contract and the --jobs
 // conventions shared by the benches and CI.
@@ -54,10 +56,10 @@ int ResolveJobs(int jobs);
 // read after the join.
 struct WorkerTelemetry {
   int worker = 0;           // Pool index, 0-based.
-  int trials = 0;           // Seeds this worker executed (chaos: seeds, not runs).
-  int chunks = 0;           // Chunks this worker ran (excludes restored ones).
+  int trials = 0;           // Seeds this worker ran (chaos: seeds, not runs).
+  int chunks = 0;           // Chunks this worker took from a queue.
   int steals = 0;           // Chunks taken from another worker's queue.
-  int cached = 0;           // Chunks restored from the checkpoint store, not re-run.
+  int cached = 0;           // Seeds restored from the checkpoint store, not re-run.
   double wall_seconds = 0;  // Wall time from worker start to queue-drained exit.
 };
 
@@ -74,10 +76,8 @@ struct SeedSweep : SweepRun {
   std::vector<Result> results;
 };
 
-// The record codec that lets a sweep checkpoint its chunks. `kind` is ChunkKey's
-// sweep kind ("sweep", "chaos"); a record must contain no raw ',' (every record
-// written through CheckpointEscape qualifies), because a chunk's payload is its seeds'
-// records joined by ','. A record that fails to decode makes its chunk a cache miss.
+// The record codec that lets a sweep checkpoint its seeds. `kind` is SeedKey's sweep
+// kind ("sweep", "chaos"). A record that fails to decode makes its seed a cache miss.
 template <typename Result>
 struct SeedCodec {
   const char* kind;
@@ -104,9 +104,9 @@ void RunSeedPool(int num_seeds, std::uint64_t base_seed, const ParallelOptions& 
 
 // The engine: runs `run` for seeds base_seed .. base_seed + num_seeds - 1 on
 // ResolveJobs(options.jobs) workers and returns the results in seed order. With both
-// options.checkpoint and `codec`, chunks are committed to and restored from the store
-// under ChunkKey(options.checkpoint_scope, codec->kind, ...); without a codec the
-// store is not touched. `run` must not throw: the sweeps' run steps
+// options.checkpoint and `codec`, each seed is committed to and restored from the
+// store under SeedKey(options.checkpoint_scope, codec->kind, base_seed, seed); without
+// a codec the store is not touched. `run` must not throw: the sweeps' run steps
 // (sweep_internal::RunTrial / RunChaosSeed) turn exceptions into results.
 template <typename Result>
 SeedSweep<Result> SweepSeeds(int num_seeds, std::uint64_t base_seed,
@@ -131,18 +131,14 @@ SeedSweep<Result> SweepSeeds(int num_seeds, std::uint64_t base_seed,
   return sweep;
 }
 
-struct ParallelSweepResult {
-  SweepOutcome outcome;     // The same at any worker count, chunk size or steal order.
-  int jobs = 1;             // Resolved worker count actually used.
-  double wall_seconds = 0;  // Whole-sweep wall time (shard + run + join).
-  std::vector<WorkerTelemetry> workers;  // One entry per pool worker.
+// A pool run with its seeds folded: the outcome is the same at any worker count,
+// chunk size or steal order.
+struct ParallelSweepResult : SweepRun {
+  SweepOutcome outcome;
 };
 
-struct ParallelChaosResult {
+struct ParallelChaosResult : SweepRun {
   ChaosSweepOutcome outcome;
-  int jobs = 1;
-  double wall_seconds = 0;
-  std::vector<WorkerTelemetry> workers;
 };
 
 // SweepSchedules(num_seeds, trial, base_seed, options) plus pool telemetry.

@@ -1,15 +1,16 @@
-// Checkpoint store + codecs (runtime/checkpoint.h): lossless round-trips, snapshot
-// load/flush behavior, malformed-line tolerance, and the headline guarantee — a sweep
-// resumed from a checkpoint merges bit-identical to an uninterrupted run, including
-// after a SIGKILL mid-sweep (fork-based test, POSIX and non-sanitized builds only).
+// Checkpoint store + codecs (runtime/checkpoint.h): lossless round-trips, log load
+// behavior, torn-tail and malformed-line tolerance, and the headline guarantee — a
+// sweep resumed from a checkpoint merges bit-identical to an uninterrupted run,
+// including after a SIGKILL mid-sweep (fork-based test, POSIX and non-sanitized builds
+// only).
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,21 +46,28 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-void RemoveStore(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
+void RemoveStore(const std::string& path) { std::remove(path.c_str()); }
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << data;
 }
 
 // ---- Escaping -------------------------------------------------------------------------
 
 TEST(CheckpointEscapeTest, RoundTripsStructureCharacters) {
-  const std::string nasty = "a\tb\nc;d=e,f\\g\t\t\n\n;;==,,\\\\ plain";
+  const std::string nasty = "a\tb\nc;d=e,f\\g\t\t\n\n;;==,,\\\\ plain\r";
   const std::string escaped = CheckpointEscape(nasty);
   EXPECT_EQ(escaped.find('\t'), std::string::npos);
   EXPECT_EQ(escaped.find('\n'), std::string::npos);
+  EXPECT_EQ(escaped.find('\r'), std::string::npos);
   EXPECT_EQ(escaped.find(';'), std::string::npos);
   EXPECT_EQ(escaped.find('='), std::string::npos);
-  EXPECT_EQ(escaped.find(','), std::string::npos);
   EXPECT_EQ(CheckpointUnescape(escaped), nasty);
   EXPECT_EQ(CheckpointUnescape(CheckpointEscape("")), "");
 }
@@ -135,8 +143,6 @@ void ExpectSameRun(const ChaosTrialOutcome& a, const ChaosTrialOutcome& b) {
 TEST(CheckpointCodecTest, TrialReportRoundTripsEveryField) {
   const TrialReport r = FullReport();
   const std::string record = EncodeTrialReport(r);
-  // Records join into chunk payloads with ',', so none may carry a raw one.
-  EXPECT_EQ(record.find(','), std::string::npos);
   TrialReport back;
   ASSERT_TRUE(DecodeTrialReport(record, &back));
   ExpectSameReport(back, r);
@@ -160,7 +166,6 @@ TEST(CheckpointCodecTest, ChaosSeedPairRoundTripsEveryField) {
   pair.on = FullChaosRun(true);
   pair.off = FullChaosRun(false);
   const std::string record = EncodeChaosSeedPair(pair);
-  EXPECT_EQ(record.find(','), std::string::npos);
   ChaosSeedPair back;
   ASSERT_TRUE(DecodeChaosSeedPair(record, &back));
   ExpectSameRun(back.on, pair.on);
@@ -279,21 +284,20 @@ TEST(CheckpointCodecTest, OutOfRangeNumbersAreRejected) {
   EXPECT_FALSE(DecodeChaosSeedPair(ReplaceField(chaos, "off.fev=0", "off.fev=+1"), &pair));
 }
 
-TEST(CheckpointCodecTest, ChunkKeyEmbedsEveryLayoutParameter) {
-  const std::string base = ChunkKey("scope/a", "sweep", 1, 100, 16, 0);
-  EXPECT_NE(base, ChunkKey("scope/b", "sweep", 1, 100, 16, 0));
-  EXPECT_NE(base, ChunkKey("scope/a", "chaos", 1, 100, 16, 0));
-  EXPECT_NE(base, ChunkKey("scope/a", "sweep", 2, 100, 16, 0));
-  EXPECT_NE(base, ChunkKey("scope/a", "sweep", 1, 101, 16, 0));
-  EXPECT_NE(base, ChunkKey("scope/a", "sweep", 1, 100, 8, 0));
-  EXPECT_NE(base, ChunkKey("scope/a", "sweep", 1, 100, 16, 1));
+TEST(CheckpointCodecTest, SeedKeySeparatesScopeKindBaseAndSeed) {
+  const std::string base = SeedKey("scope/a", "sweep", 1, 5);
+  EXPECT_NE(base, SeedKey("scope/b", "sweep", 1, 5));
+  EXPECT_NE(base, SeedKey("scope/a", "chaos", 1, 5));
+  EXPECT_NE(base, SeedKey("scope/a", "sweep", 2, 5));
+  EXPECT_NE(base, SeedKey("scope/a", "sweep", 1, 6));
   // Scope strings with structure characters cannot forge another key.
-  EXPECT_NE(ChunkKey("a\tsweep", "x", 1, 1, 1, 0), ChunkKey("a", "sweep\tx", 1, 1, 1, 0));
+  EXPECT_NE(SeedKey("a\tsweep", "x", 1, 1), SeedKey("a", "sweep\tx", 1, 1));
+  EXPECT_NE(SeedKey("s|b1|s2", "sweep", 1, 1), SeedKey("s", "sweep", 1, 2));
 }
 
 // ---- Store ----------------------------------------------------------------------------
 
-TEST(CheckpointStoreTest, CommitFlushLoadRoundTrips) {
+TEST(CheckpointStoreTest, CommitLoadRoundTrips) {
   const std::string path = TempPath("store_roundtrip.ckpt");
   RemoveStore(path);
   {
@@ -301,8 +305,8 @@ TEST(CheckpointStoreTest, CommitFlushLoadRoundTrips) {
     EXPECT_EQ(store.Load(), 0);  // Missing file: empty store, no error.
     store.Commit("key-a", "payload-a");
     store.Commit("key b with spaces", "payload\twith\nstructure;=,\\chars");
-    ASSERT_TRUE(store.Flush());
     EXPECT_EQ(store.size(), 2);
+    EXPECT_EQ(store.appends(), 2);
   }
   CheckpointStore reloaded(path);
   EXPECT_EQ(reloaded.Load(), 2);
@@ -314,71 +318,23 @@ TEST(CheckpointStoreTest, CommitFlushLoadRoundTrips) {
   RemoveStore(path);
 }
 
-TEST(CheckpointStoreTest, MalformedLinesAreSkippedOnLoad) {
-  const std::string path = TempPath("store_corrupt.ckpt");
-  {
-    std::ofstream f(path);
-    f << "syneval-checkpoint v1\n";
-    f << CheckpointEscape("good-key") << "\t" << CheckpointEscape("good-payload") << "\n";
-    f << "no-tab-on-this-line\n";
-    f << "\ttab-but-empty-key\n";
-    f << CheckpointEscape("truncated");  // No newline, no payload: dropped.
-  }
-  CheckpointStore store(path);
-  EXPECT_EQ(store.Load(), 1);  // Only the well-formed line survives.
-  std::string payload;
-  EXPECT_TRUE(store.Lookup("good-key", &payload));
-  EXPECT_EQ(payload, "good-payload");
-  RemoveStore(path);
-}
-
-TEST(CheckpointStoreTest, WrongHeaderLoadsNothing) {
-  const std::string path = TempPath("store_header.ckpt");
-  {
-    std::ofstream f(path);
-    f << "some-other-format v9\nkey\tpayload\n";
-  }
-  CheckpointStore store(path);
-  EXPECT_EQ(store.Load(), 0);
-  RemoveStore(path);
-}
-
-TEST(CheckpointStoreTest, FlushIsAtomicReplacement) {
-  const std::string path = TempPath("store_atomic.ckpt");
-  CheckpointStore store(path);
-  store.Commit("k", "v1");
-  ASSERT_TRUE(store.Flush());
-  store.Commit("k", "v2");
-  ASSERT_TRUE(store.Flush());
-  // No .tmp litter left behind and the snapshot holds the latest value.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
-  CheckpointStore reloaded(path);
-  EXPECT_EQ(reloaded.Load(), 1);
-  std::string payload;
-  ASSERT_TRUE(reloaded.Lookup("k", &payload));
-  EXPECT_EQ(payload, "v2");
-  RemoveStore(path);
-}
-
-// ---- Write-ahead journal --------------------------------------------------------------
-
-TEST(CheckpointJournalTest, CommitsAreDurableWithoutFlush) {
-  const std::string path = TempPath("journal_durable.ckpt");
+// Every commit is one flushed line of the log: it survives the store with nothing
+// else written, and a later line for the same key wins on load.
+TEST(CheckpointStoreTest, CommitsAreDurableAndLaterLinesWin) {
+  const std::string path = TempPath("store_durable.ckpt");
   RemoveStore(path);
   {
     CheckpointStore store(path);
     store.Commit("a", "1");
     store.Commit("b", "2");
-    store.Commit("a", "3");  // Later entries win on replay.
+    store.Commit("a", "3");
     EXPECT_EQ(store.appends(), 3);
-    EXPECT_EQ(store.compactions(), 0);  // Default flush_every is 64: no compaction yet.
-    // No Flush(): the snapshot was never written...
-    std::ifstream snapshot(path);
-    EXPECT_FALSE(snapshot.good());
+    // No leftover second file: the log is the only one.
+    EXPECT_FALSE(std::ifstream(path + ".journal").good());
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   }
-  // ...yet every commit survives, replayed from the journal alone. Load() reports
-  // distinct entries; replayed() counts journal lines (the shadowed "a" is a third).
+  EXPECT_EQ(ReadFile(path).substr(0, 19), "syneval-journal v2\n");
+  // Load() reports distinct entries; replayed() counts lines (the shadowed "a" too).
   CheckpointStore reloaded(path);
   EXPECT_EQ(reloaded.Load(), 2);
   EXPECT_EQ(reloaded.replayed(), 3);
@@ -390,52 +346,56 @@ TEST(CheckpointJournalTest, CommitsAreDurableWithoutFlush) {
   RemoveStore(path);
 }
 
-TEST(CheckpointJournalTest, AutomaticCompactionTruncatesJournal) {
-  const std::string path = TempPath("journal_compact.ckpt");
-  RemoveStore(path);
+TEST(CheckpointStoreTest, MalformedLinesAreSkippedOnLoad) {
+  const std::string path = TempPath("store_corrupt.ckpt");
+  WriteFile(path, "syneval-journal v2\n" + CheckpointEscape("good-key") + "\t" +
+                      CheckpointEscape("good-payload") + "\n" +
+                      "no-tab-on-this-line\n"
+                      "\ttab-but-empty-key\n" +
+                      CheckpointEscape("truncated"));  // No newline: a torn tail.
   CheckpointStore store(path);
-  store.SetFlushEvery(2);
-  store.Commit("a", "1");
-  EXPECT_EQ(store.compactions(), 0);
-  store.Commit("b", "2");  // Second append: compaction fires.
-  EXPECT_EQ(store.compactions(), 1);
-  // The snapshot now holds both entries and the journal is back to header-only.
-  {
-    std::ifstream journal(store.journal_path());
-    std::string header, extra;
-    ASSERT_TRUE(std::getline(journal, header));
-    EXPECT_EQ(header, "syneval-journal v1");
-    EXPECT_FALSE(std::getline(journal, extra));
-  }
-  CheckpointStore reloaded(path);
-  EXPECT_EQ(reloaded.Load(), 2);
-  EXPECT_EQ(reloaded.replayed(), 0);  // Everything came from the snapshot.
-  // Appends after a compaction land in the (reopened) journal again.
-  store.Commit("c", "3");
-  CheckpointStore again(path);
-  EXPECT_EQ(again.Load(), 3);
-  EXPECT_EQ(again.replayed(), 1);
+  EXPECT_EQ(store.Load(), 1);  // Only the well-formed line survives.
+  std::string payload;
+  EXPECT_TRUE(store.Lookup("good-key", &payload));
+  EXPECT_EQ(payload, "good-payload");
   RemoveStore(path);
 }
 
-TEST(CheckpointJournalTest, TornFinalAppendIsACacheMiss) {
-  const std::string path = TempPath("journal_torn.ckpt");
+// A file whose first line is not the v2 header — a foreign file, or an older writer's
+// snapshot or chunk journal — loads nothing and is restarted as an empty v2 log. An
+// older writer's leftover "<path>.journal" is never read.
+TEST(CheckpointStoreTest, ForeignHeaderRestartsTheLog) {
+  const std::string path = TempPath("store_header.ckpt");
+  for (const char* header :
+       {"some-other-format v9", "syneval-checkpoint v1", "syneval-journal v1", ""}) {
+    SCOPED_TRACE(header);
+    WriteFile(path, std::string(header) + "\nkey\tpayload\n");
+    WriteFile(path + ".journal", "syneval-journal v2\nkey\tpayload\n");
+    {
+      CheckpointStore store(path);
+      EXPECT_EQ(store.Load(), 0);
+      EXPECT_EQ(ReadFile(path), "");
+      store.Commit("fresh", "record");
+    }
+    EXPECT_EQ(ReadFile(path), "syneval-journal v2\nfresh\trecord\n");
+    std::remove((path + ".journal").c_str());
+  }
+  RemoveStore(path);
+}
+
+// SIGKILL mid-append leaves a final line with no terminating newline: a cache miss.
+TEST(CheckpointStoreTest, TornFinalAppendIsACacheMiss) {
+  const std::string path = TempPath("store_torn.ckpt");
   RemoveStore(path);
   {
     CheckpointStore store(path);
     store.Commit("a", "1");
     store.Commit("b", "2");
   }
-  // Simulate SIGKILL mid-append: chop bytes off the journal so the final line has no
-  // terminating newline.
-  {
-    std::ifstream in(path + ".journal", std::ios::binary);
-    std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    ASSERT_GT(data.size(), 3u);
-    ASSERT_EQ(data.back(), '\n');
-    std::ofstream out(path + ".journal", std::ios::binary | std::ios::trunc);
-    out << data.substr(0, data.size() - 3);
-  }
+  const std::string data = ReadFile(path);
+  ASSERT_GT(data.size(), 3u);
+  ASSERT_EQ(data.back(), '\n');
+  WriteFile(path, data.substr(0, data.size() - 3));
   CheckpointStore store(path);
   EXPECT_EQ(store.Load(), 1);  // The torn append degraded to a cache miss.
   std::string payload;
@@ -444,54 +404,43 @@ TEST(CheckpointJournalTest, TornFinalAppendIsACacheMiss) {
   RemoveStore(path);
 }
 
-TEST(CheckpointJournalTest, MalformedJournalLinesAreCacheMisses) {
-  const std::string path = TempPath("journal_malformed.ckpt");
+// The torn tail is cut before the next append: otherwise the next commit is glued onto
+// the torn line, and the merged line restores the torn seed's key with the next seed's
+// record while the next seed is lost.
+TEST(CheckpointStoreTest, AppendAfterTornTailStartsItsOwnLine) {
+  const std::string path = TempPath("store_torn_append.ckpt");
   RemoveStore(path);
-  {
-    std::ofstream f(path + ".journal");
-    f << "syneval-journal v1\n";
-    f << CheckpointEscape("good") << "\t" << CheckpointEscape("payload") << "\n";
-    f << "no-tab-on-this-line\n";
-    f << "\tempty-key\n";
-  }
-  CheckpointStore store(path);
-  EXPECT_EQ(store.Load(), 1);
-  std::string payload;
-  EXPECT_TRUE(store.Lookup("good", &payload));
-  EXPECT_EQ(payload, "payload");
-  RemoveStore(path);
-}
-
-TEST(CheckpointJournalTest, ForeignJournalHeaderLoadsNothing) {
-  const std::string path = TempPath("journal_header.ckpt");
-  RemoveStore(path);
-  {
-    std::ofstream f(path + ".journal");
-    f << "some-other-journal v9\nkey\tpayload\n";
-  }
-  CheckpointStore store(path);
-  EXPECT_EQ(store.Load(), 0);
-  RemoveStore(path);
-}
-
-TEST(CheckpointJournalTest, JournalReplaysOverSnapshot) {
-  const std::string path = TempPath("journal_over.ckpt");
-  RemoveStore(path);
+  TrialReport s1 = FullReport();
+  TrialReport s2 = FullReport();
+  s2.postmortem = std::string(64, 'B');
+  TrialReport s3 = FullReport();
+  s3.anomalies.deadlocks = 333;
+  s3.postmortem = std::string(64, 'C');
   {
     CheckpointStore store(path);
-    store.Commit("k", "old");
-    store.Commit("only-snapshot", "s");
-    ASSERT_TRUE(store.Flush());   // Snapshot holds both; journal truncated.
-    store.Commit("k", "new");     // Journal entry shadows the snapshot's value.
+    store.Commit("s1", EncodeTrialReport(s1));
+    store.Commit("s2", EncodeTrialReport(s2));
+  }
+  const std::string data = ReadFile(path);
+  const std::size_t torn = data.find("BBBB");  // Inside s2's postmortem.
+  ASSERT_NE(torn, std::string::npos);
+  WriteFile(path, data.substr(0, torn + 2));
+  {
+    CheckpointStore store(path);
+    EXPECT_EQ(store.Load(), 1);
+    store.Commit("s3", EncodeTrialReport(s3));
   }
   CheckpointStore store(path);
-  EXPECT_EQ(store.Load(), 2);  // Distinct entries; the replayed "k" shadows, not adds.
-  EXPECT_EQ(store.replayed(), 1);
+  EXPECT_EQ(store.Load(), 2);
   std::string payload;
-  ASSERT_TRUE(store.Lookup("k", &payload));
-  EXPECT_EQ(payload, "new");
-  ASSERT_TRUE(store.Lookup("only-snapshot", &payload));
-  EXPECT_EQ(payload, "s");
+  EXPECT_FALSE(store.Lookup("s2", &payload));
+  ASSERT_TRUE(store.Lookup("s3", &payload));
+  TrialReport back;
+  ASSERT_TRUE(DecodeTrialReport(payload, &back));
+  ExpectSameReport(back, s3);
+  ASSERT_TRUE(store.Lookup("s1", &payload));
+  ASSERT_TRUE(DecodeTrialReport(payload, &back));
+  ExpectSameReport(back, s1);
   RemoveStore(path);
 }
 
@@ -550,7 +499,7 @@ TEST(CheckpointResumeTest, ResumedSweepMergesBitIdentical) {
     EXPECT_GT(store.size(), 0);
   }
 
-  // Resume under a different worker count: every chunk restores, nothing re-runs.
+  // Resume under a different worker count: every seed restores, nothing re-runs.
   {
     CheckpointStore store(path);
     EXPECT_GT(store.Load(), 0);
@@ -586,14 +535,14 @@ TEST(CheckpointResumeTest, ResumedSweepMergesBitIdentical) {
   RemoveStore(path);
 }
 
-// A chunk payload holds exactly one record per seed; anything else — an older
-// writer's per-chunk aggregate ("sweep1") under the same key, or a chunk missing a
-// record — is a cache miss that re-runs that chunk alone and overwrites it.
-TEST(CheckpointResumeTest, ForeignAndShortChunkPayloadsAreCacheMisses) {
+// A record under another version tag — an older writer's per-chunk aggregate
+// ("sweep1") under a seed's key — is a cache miss that re-runs that seed alone and
+// overwrites it.
+TEST(CheckpointResumeTest, ForeignRecordsAreCacheMisses) {
   const std::string path = TempPath("resume_foreign.ckpt");
   RemoveStore(path);
   const std::string scope = "checkpoint_test/foreign";
-  const int kSeeds = 40;  // Three chunks of kCheckpointChunkSeeds (16) seeds.
+  const int kSeeds = 40;
   const SweepOutcome clean = SweepSchedules(kSeeds, SyntheticTrial, 1);
   CheckpointStore store(path);
   ParallelOptions options;
@@ -606,21 +555,20 @@ TEST(CheckpointResumeTest, ForeignAndShortChunkPayloadsAreCacheMisses) {
     return SyntheticTrial(seed);
   };
 
-  for (int chunk = 0; chunk < 3; ++chunk) {
-    store.Commit(ChunkKey(scope, "sweep", 1, kSeeds, 16, chunk),
-                 "v=sweep1;runs=16;passes=16;failures=0");
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    store.Commit(SeedKey(scope, "sweep", 1, seed), "v=sweep1;runs=16;passes=16;failures=0");
   }
   ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
-  EXPECT_EQ(live_trials.load(), kSeeds);  // Every chunk re-ran.
+  EXPECT_EQ(live_trials.load(), kSeeds);  // Every seed re-ran.
+  EXPECT_EQ(store.hits(), 0);
 
-  // Drop the last record of chunk 0: only that chunk re-runs.
-  const std::string key0 = ChunkKey(scope, "sweep", 1, kSeeds, 16, 0);
-  std::string payload;
-  ASSERT_TRUE(store.Lookup(key0, &payload));
-  store.Commit(key0, payload.substr(0, payload.rfind(',')));
+  // Replace three seeds' records with a chaos pair: only those three re-run.
+  for (const std::uint64_t seed : {1, 17, 40}) {
+    store.Commit(SeedKey(scope, "sweep", 1, seed), EncodeChaosSeedPair(ChaosSeedPair{}));
+  }
   live_trials = 0;
   ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
-  EXPECT_EQ(live_trials.load(), 16);
+  EXPECT_EQ(live_trials.load(), 3);
 
   live_trials = 0;
   ExpectOutcomesIdentical(SweepSchedules(kSeeds, counted, 1, options), clean);
@@ -628,13 +576,13 @@ TEST(CheckpointResumeTest, ForeignAndShortChunkPayloadsAreCacheMisses) {
   RemoveStore(path);
 }
 
-// hits() counts only restores the engine accepted: a chunk whose payload fails to
+// hits() counts only restores the engine accepted: a seed whose record fails to
 // decode re-runs and is not a hit.
 TEST(CheckpointResumeTest, UndecodablePayloadIsNotAHit) {
   const std::string path = TempPath("resume_undecodable.ckpt");
   RemoveStore(path);
   const std::string scope = "checkpoint_test/undecodable";
-  const int kSeeds = 40;  // Three chunks of kCheckpointChunkSeeds (16) seeds.
+  const int kSeeds = 40;
   const SweepOutcome clean = SweepSchedules(kSeeds, SyntheticTrial, 1);
   ParallelOptions options;
   options.jobs = 2;
@@ -643,10 +591,10 @@ TEST(CheckpointResumeTest, UndecodablePayloadIsNotAHit) {
     CheckpointStore store(path);
     options.checkpoint = &store;
     ExpectOutcomesIdentical(SweepSchedules(kSeeds, SyntheticTrial, 1, options), clean);
-    store.Commit(ChunkKey(scope, "sweep", 1, kSeeds, 16, 1), "v=trial1;garbage");
+    store.Commit(SeedKey(scope, "sweep", 1, 7), "v=trial1;garbage");
   }
   CheckpointStore store(path);
-  ASSERT_EQ(store.Load(), 3);
+  ASSERT_EQ(store.Load(), kSeeds);
   options.checkpoint = &store;
   std::atomic<int> live_trials{0};
   const SweepOutcome resumed = SweepSchedules(
@@ -657,8 +605,8 @@ TEST(CheckpointResumeTest, UndecodablePayloadIsNotAHit) {
       }),
       1, options);
   ExpectOutcomesIdentical(resumed, clean);
-  EXPECT_EQ(live_trials.load(), 16);  // Only the undecodable chunk re-ran.
-  EXPECT_EQ(store.hits(), 2);
+  EXPECT_EQ(live_trials.load(), 1);  // Only the undecodable seed re-ran.
+  EXPECT_EQ(store.hits(), kSeeds - 1);
   RemoveStore(path);
 }
 
@@ -742,7 +690,7 @@ TEST(CheckpointResumeTest, SigkilledSweepResumesBitIdentical) {
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Child: sweep slowly, checkpointing every chunk, until the parent kills us.
+    // Child: sweep slowly, checkpointing every seed, until the parent kills us.
     CheckpointStore store(path);
     ParallelOptions options;
     options.jobs = 2;
@@ -758,11 +706,10 @@ TEST(CheckpointResumeTest, SigkilledSweepResumesBitIdentical) {
     _exit(0);  // Finished before the kill: the resume below restores everything.
   }
 
-  // Parent: wait for the journal to carry at least one committed chunk (the journal,
-  // not the snapshot — commits are journal appends, and the first compaction may be
-  // many chunks away), then SIGKILL the child mid-sweep.
+  // Parent: wait for the log to carry at least one committed seed, then SIGKILL the
+  // child mid-sweep.
   for (int i = 0; i < 2000; ++i) {
-    std::ifstream f(path + ".journal");
+    std::ifstream f(path);
     std::string line;
     int lines = 0;
     while (std::getline(f, line)) {
@@ -791,63 +738,6 @@ TEST(CheckpointResumeTest, SigkilledSweepResumesBitIdentical) {
   RemoveStore(path);
 }
 
-// SIGKILL aimed at the compaction window: with SetFlushEvery(1) every commit runs the
-// full append → snapshot-rename → journal-truncate sequence, so a kill at a random
-// moment lands inside compaction with high probability. Whatever window it hits, the
-// store must recover to a state where resume is bit-identical.
-TEST(CheckpointResumeTest, SigkilledMidCompactionRecovers) {
-  const std::string path = TempPath("resume_kill_compact.ckpt");
-  RemoveStore(path);
-  const int kSeeds = 120;
-  const SweepOutcome clean = SweepSchedules(kSeeds, SyntheticTrial, 1);
-
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    CheckpointStore store(path);
-    store.SetFlushEvery(1);  // Compaction on every commit: maximize the crash window.
-    ParallelOptions options;
-    options.jobs = 2;
-    options.chunk_seeds = 1;  // One commit per seed: many compactions to aim at.
-    options.checkpoint = &store;
-    options.checkpoint_scope = "checkpoint_test/kill-compact";
-    (void)SweepSchedules(
-        kSeeds,
-        std::function<TrialReport(std::uint64_t)>([](std::uint64_t seed) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          return SyntheticTrial(seed);
-        }),
-        1, options);
-    _exit(0);
-  }
-
-  // Let a few dozen compactions happen, then kill without looking: the kill lands at
-  // an arbitrary point of the append/rename/truncate cycle.
-  for (int i = 0; i < 2000; ++i) {
-    std::ifstream f(path);
-    if (f.good()) {
-      break;  // At least one compaction has landed.
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  kill(child, SIGKILL);
-  int status = 0;
-  ASSERT_EQ(waitpid(child, &status, 0), child);
-
-  CheckpointStore store(path);
-  store.SetFlushEvery(1);
-  const int restored = store.Load();
-  EXPECT_GT(restored, 0);  // The pre-kill snapshot survived whatever window was hit.
-  ParallelOptions options;
-  options.jobs = 2;
-  options.chunk_seeds = 1;
-  options.checkpoint = &store;
-  options.checkpoint_scope = "checkpoint_test/kill-compact";
-  const SweepOutcome resumed = SweepSchedules(kSeeds, SyntheticTrial, 1, options);
-  ExpectOutcomesIdentical(resumed, clean);
-  RemoveStore(path);
-}
 #endif  // SYNEVAL_HAVE_FORK && !SYNEVAL_SANITIZED
 
 }  // namespace

@@ -2,8 +2,11 @@
 // bit-identity contract — a parallel sweep's outcome must equal the serial sweep of
 // the same seeds field by field, at any worker count, chunk size, or steal order —
 // plus the one-job path, the postmortem cap, jobs resolution, worker telemetry
-// accounting, and the counterexample replay sweep built on top of it.
+// accounting, checkpoint resume across layouts, and the counterexample replay sweep
+// built on top of it.
 
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "syneval/core/conformance.h"
 #include "syneval/fault/chaos.h"
 #include "syneval/fault/fault.h"
+#include "syneval/runtime/checkpoint.h"
 #include "syneval/runtime/parallel_sweep.h"
 
 namespace syneval {
@@ -277,6 +281,76 @@ TEST(ParallelSweepTest, WorkerTelemetryAccountsForEveryTrial) {
   EXPECT_EQ(trials, 120);
   EXPECT_GT(chunks, 0);
   EXPECT_GT(result.wall_seconds, 0.0);
+}
+
+// Sweeps `num_seeds` synthetic seeds against `store`, counting the seeds that ran.
+ParallelSweepResult CountedSweep(int num_seeds, int jobs, int chunk_seeds,
+                                 CheckpointStore* store, std::atomic<int>* live) {
+  ParallelOptions options;
+  options.jobs = jobs;
+  options.chunk_seeds = chunk_seeds;
+  options.checkpoint = store;
+  options.checkpoint_scope = "parallel_sweep_test/resume";
+  return ParallelSweepSchedules(
+      num_seeds,
+      [live](std::uint64_t seed) {
+        ++*live;
+        return SyntheticTrial(seed);
+      },
+      1, options);
+}
+
+// The checkpoint keys carry no layout: a sweep checkpointed at one worker count and
+// chunk size restores every seed under another and re-runs none.
+TEST(ParallelSweepTest, CheckpointResumesUnderAnyLayout) {
+  const std::string path = testing::TempDir() + "/parallel_sweep_layout.ckpt";
+  std::remove(path.c_str());
+  constexpr int kSeeds = 100;
+  const SweepOutcome serial =
+      SweepSchedules(kSeeds, std::function<TrialReport(std::uint64_t)>(SyntheticTrial), 1);
+  std::atomic<int> live{0};
+  {
+    CheckpointStore store(path);
+    store.Load();
+    ExpectIdentical(serial, CountedSweep(kSeeds, 4, 3, &store, &live).outcome);
+    EXPECT_EQ(live.load(), kSeeds);
+  }
+  CheckpointStore store(path);
+  ASSERT_EQ(store.Load(), kSeeds);
+  live = 0;
+  const ParallelSweepResult resumed = CountedSweep(kSeeds, 2, 0, &store, &live);
+  ExpectIdentical(serial, resumed.outcome);
+  EXPECT_EQ(live.load(), 0);
+  EXPECT_EQ(store.hits(), kSeeds);
+  int cached = 0;
+  int trials = 0;
+  for (const WorkerTelemetry& w : resumed.workers) {
+    cached += w.cached;
+    trials += w.trials;
+  }
+  EXPECT_EQ(cached, kSeeds);
+  EXPECT_EQ(trials, 0);
+  std::remove(path.c_str());
+}
+
+// The seed count is not part of the key either: a deeper rerun restores the seeds it
+// shares with a shallower one and runs only the new ones.
+TEST(ParallelSweepTest, DeeperRerunRestoresTheSharedSeeds) {
+  const std::string path = testing::TempDir() + "/parallel_sweep_deeper.ckpt";
+  std::remove(path.c_str());
+  CheckpointStore store(path);
+  store.Load();
+  std::atomic<int> live{0};
+  CountedSweep(40, 3, 0, &store, &live);
+  live = 0;
+  const ParallelSweepResult deeper = CountedSweep(100, 2, 7, &store, &live);
+  ExpectIdentical(
+      SweepSchedules(100, std::function<TrialReport(std::uint64_t)>(SyntheticTrial), 1),
+      deeper.outcome);
+  EXPECT_EQ(live.load(), 60);
+  EXPECT_EQ(store.hits(), 40);
+  EXPECT_EQ(store.size(), 100);
+  std::remove(path.c_str());
 }
 
 TEST(ParallelSweepTest, ResolveJobsHonorsLiteralEnvAndFallback) {

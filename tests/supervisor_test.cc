@@ -518,12 +518,11 @@ TEST(SupervisedChaosTest, HealthyTrialPassesThroughUntouched) {
   EXPECT_EQ(state->stats.retried, 0);
 }
 
-// Supervised soak + checkpoint resume: the second run restores every per-seed chunk
-// from the journal-backed store and its table is field-by-field identical.
+// Supervised soak + checkpoint resume: the second run restores every seed from the
+// checkpoint log and its table is field-by-field identical.
 TEST(SupervisedChaosTest, ResumedSupervisedSoakIsBitIdentical) {
   const std::string path = testing::TempDir() + "/supervised_soak.ckpt";
   std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
 
   ChaosSupervision supervision;
   supervision.enabled = true;
@@ -535,7 +534,6 @@ TEST(SupervisedChaosTest, ResumedSupervisedSoakIsBitIdentical) {
     store.Load();
     ParallelOptions parallel;
     parallel.jobs = 2;
-    parallel.chunk_seeds = 1;  // The soak configuration: per-seed checkpoints.
     parallel.checkpoint = &store;
     parallel.checkpoint_scope = "supervisor_test/soak";
     first = RunChaosCalibration(/*seeds_per_case=*/1, 1, 1, parallel, supervision);
@@ -547,7 +545,7 @@ TEST(SupervisedChaosTest, ResumedSupervisedSoakIsBitIdentical) {
     EXPECT_GT(store.Load(), 0);
     ParallelOptions parallel;
     parallel.jobs = 2;
-    parallel.chunk_seeds = 1;
+    parallel.chunk_seeds = 1;  // Any chunk size restores the seeds written above.
     parallel.checkpoint = &store;
     parallel.checkpoint_scope = "supervisor_test/soak";
     const ChaosCalibrationTable resumed =
@@ -559,7 +557,6 @@ TEST(SupervisedChaosTest, ResumedSupervisedSoakIsBitIdentical) {
     }
   }
   std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
 }
 
 // A quarantined chaos row, swept once against a checkpoint store and then restored
@@ -569,7 +566,6 @@ ChaosCalibrationRow SweepCrashingRow(CheckpointStore* store, int jobs,
   const FaultPlan plan;
   ParallelOptions parallel;
   parallel.jobs = jobs;
-  parallel.chunk_seeds = 1;  // The soak configuration: per-seed checkpoints.
   parallel.checkpoint = store;
   parallel.checkpoint_scope = "supervisor_test/crashing-row";
   ChaosCalibrationRow row;
@@ -603,7 +599,6 @@ void ExpectSameVerdict(const ChaosCalibrationRow& a, const ChaosCalibrationRow& 
 TEST(SupervisedChaosTest, RestoredQuarantinedRowKeepsItsVerdict) {
   const std::string path = testing::TempDir() + "/quarantined_row.ckpt";
   std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
   ChaosCalibrationRow live;
   {
     CheckpointStore store(path);
@@ -623,7 +618,6 @@ TEST(SupervisedChaosTest, RestoredQuarantinedRowKeepsItsVerdict) {
   EXPECT_EQ(store.hits(), 10);
   ExpectSameVerdict(restored, live);
   std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
 }
 
 #if (defined(__unix__) || defined(__APPLE__)) && !defined(SYNEVAL_SANITIZED)
@@ -632,7 +626,6 @@ TEST(SupervisedChaosTest, RestoredQuarantinedRowKeepsItsVerdict) {
 TEST(SupervisedChaosTest, SigkilledQuarantinedRowResumesWithItsVerdict) {
   const std::string path = testing::TempDir() + "/quarantined_row_kill.ckpt";
   std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
   const ChaosCalibrationRow uninterrupted = SweepCrashingRow(nullptr, 1);
 
   const pid_t child = fork();
@@ -645,9 +638,9 @@ TEST(SupervisedChaosTest, SigkilledQuarantinedRowResumesWithItsVerdict) {
     });
     _exit(0);  // Finished before the kill: the resume below restores everything.
   }
-  // Kill once the journal holds a few seeds (header + 3 entries).
+  // Kill once the log holds a few seeds (header + 3 entries).
   for (int i = 0; i < 2000; ++i) {
-    std::ifstream f(path + ".journal");
+    std::ifstream f(path);
     std::string line;
     int lines = 0;
     while (std::getline(f, line)) {
@@ -667,7 +660,6 @@ TEST(SupervisedChaosTest, SigkilledQuarantinedRowResumesWithItsVerdict) {
   const ChaosCalibrationRow resumed = SweepCrashingRow(&store, 2);
   ExpectSameVerdict(resumed, uninterrupted);
   std::remove(path.c_str());
-  std::remove((path + ".journal").c_str());
 }
 
 // ---- Process sandbox (fork) -----------------------------------------------------------

@@ -29,7 +29,7 @@ GOOD = {
     "workers": [{"worker": 0, "trials": 4, "chunks": 2, "steals": 0, "cached": 0,
                  "wall_seconds": 0.7}],
     "supervisor": {"reaped": 0, "crashed": 0, "retried": 0, "quarantined": 0},
-    "journal": {"appends": 3, "compactions": 1, "replayed": 0},
+    "journal": {"appends": 3, "replayed": 0},
     "postmortem": [{"mechanism": "monitor", "problem": "bounded-buffer", "seed": 7,
                     "cause": "lost-signal", "text": "postmortem: lost-signal\n"}],
     "results": [{"bench": "chaos_sweep", "mechanism": "monitor",
