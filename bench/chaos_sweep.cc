@@ -22,8 +22,8 @@
 // on its own, so a SIGKILL anywhere loses at most the seeds in flight. Every trial is
 // bounded by its DetRuntime step budget, not by a wall-clock deadline, so the rows,
 // QUARANTINED lines and --quarantine-out file are identical at any --jobs and across
-// --resume; healthy rows equal an unsupervised run's. --trial-deadline is refused:
-// there is no wall-clock supervision to configure.
+// --resume; healthy rows equal an unsupervised run's. There is no wall-clock
+// supervision to configure.
 
 #include <cstdio>
 #include <map>
@@ -89,12 +89,6 @@ int main(int argc, char** argv) {
   if (!extras.empty()) {
     std::fprintf(stderr, "chaos_sweep: unknown flag '--%s=...' (only --soak=1)\n",
                  extras.begin()->first.c_str());
-    return 2;
-  }
-  if (options.trial_deadline_ms > 0) {
-    std::fprintf(stderr,
-                 "chaos_sweep: --trial-deadline: chaos trials are bounded in steps "
-                 "(--soak=1 supervises)\n");
     return 2;
   }
   syneval::bench::Reporter reporter(options);

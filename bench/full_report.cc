@@ -3,7 +3,9 @@
 //
 // --seeds sets the conformance schedules per case (default 15; the nightly deep-sweep
 // CI job runs 150) and --jobs shards every sweep inside the report across the
-// work-stealing pool — the report text is bit-identical at any worker count.
+// work-stealing pool. The conformance and chaos sections are bit-identical at any
+// worker count; the DPOR section's wall-time line and the contention-telemetry table
+// (sections 8 and 9) are measurements, and vary from run to run.
 
 #include <cstdio>
 #include <fstream>
@@ -24,7 +26,8 @@ int main(int argc, char** argv) {
   report_options.parallel = options.Parallel();
   // --resume: the report's conformance and chaos sweeps checkpoint their seeds (the
   // suite functions scope keys per case/row); a killed run picks up where it left off
-  // and the report text stays bit-identical. The DPOR section opts itself out.
+  // and those two sections stay bit-identical. The DPOR section opts itself out, and
+  // the measured parts of sections 8 and 9 differ between any two runs.
   const std::unique_ptr<syneval::CheckpointStore> store =
       syneval::bench::MakeCheckpointStore(options);
   if (store != nullptr) {

@@ -26,7 +26,6 @@ void PrintUsage(const std::string& bench_name, std::ostream& os) {
      << "  --jobs=<n>        sweep workers; 0 = auto via SYNEVAL_JOBS/hardware (default 0)\n"
      << "  --seeds=<n>       schedule seeds per sweep; 0 = bench default (default 0)\n"
      << "  --resume=<path>   checkpoint log: restore swept seeds, append new ones\n"
-     << "  --trial-deadline=<ms>  per-trial deadline for supervised OsRuntime benches (0 = off)\n"
      << "  --quarantine-out=<path>  write quarantine.json (supervised benches)\n"
      << "  --help            this message\n";
 }
@@ -130,11 +129,6 @@ Options ParseArgs(int argc, char** argv, const std::string& bench_name,
       }
     } else if (MatchFlag(arg, "--resume=", &value)) {
       options.resume_path = value;
-    } else if (MatchFlag(arg, "--trial-deadline=", &value)) {
-      if (!ParseInt(value, &options.trial_deadline_ms) || options.trial_deadline_ms < 0) {
-        std::cerr << bench_name << ": bad --trial-deadline value '" << value << "'\n";
-        std::exit(2);
-      }
     } else if (MatchFlag(arg, "--quarantine-out=", &value)) {
       options.quarantine_path = value;
     } else if (extras != nullptr && arg.rfind("--", 0) == 0 &&

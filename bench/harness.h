@@ -15,8 +15,6 @@
 //                         run in a previous (possibly killed) run are restored
 //                         instead of re-run; the folded outcome is bit-identical
 //                         to an uninterrupted sweep
-//       --trial-deadline=<ms>  per-trial wall-clock budget for supervised OsRuntime
-//                         benches (runtime/supervisor.h); 0 disables reaping
 //       --quarantine-out=<path>  where supervised benches write quarantine.json
 //     Unknown flags are rejected with a usage message so CI typos fail loudly.
 //
@@ -89,7 +87,6 @@ struct Options {
                            // feed this into ParallelOptions; timing benches ignore it.
   int seeds = 0;           // --seeds=<n>; 0 = the bench's built-in seed count.
   std::string resume_path;  // --resume=<path>; empty = no checkpointing.
-  int trial_deadline_ms = 0;     // --trial-deadline=<ms>; 0 = no reaping.
   std::string quarantine_path;   // --quarantine-out=<path>; empty = don't write.
 
   // The sweep pool configuration this bench should use (jobs passed through; 0 stays

@@ -2,22 +2,23 @@
 // (runtime/supervisor.h): real OsRuntime cells swept alongside one permanently-hung
 // cell and one crashing cell.
 //
-// The hung cell parks forever on a condition variable that is never signalled — the
-// reaper must force-unwind it within --trial-deadline (default 250ms here) via
-// AnomalyDetector::SetAborting + OsRuntime::RequestAbort. The crashing cell throws on
-// every seed and must surface as a structured TrialCrash. Both must be quarantined
+// Every attempt runs in the supervisor's fork sandbox. The hung cell parks forever on
+// a condition variable that is never signalled — its child must be killed at
+// --trial-deadline, with a live postmortem harvested first. The crashing cell throws
+// on every seed and must surface as a structured TrialCrash. Both must be quarantined
 // after SupervisorOptions::quarantine_after catastrophic seeds while the healthy
 // bounded-buffer cells complete every seed with clean oracles.
 //
-// Flags beyond the shared harness set:
-//   --sandbox=1          run every attempt in a fork()ed child (POSIX only); the hung
-//                        cell is then reaped with SIGKILL instead of cooperatively.
-//   --quarantine-out=<p> write the quarantine.json artifact.
+// Flags beyond the shared harness set (any other --key=value exits 2):
+//   --trial-deadline=<ms>  wall-clock budget per attempt (default 250, must be > 0).
+// The shared --quarantine-out=<path> writes the quarantine.json artifact.
 //
 // Exit status is the acceptance verdict: non-zero when a healthy cell failed or was
 // quarantined, or when either misbehaving cell escaped quarantine.
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,21 +59,20 @@ SeededTrial HealthyCell() {
   });
 }
 
-// Hung cell: waits forever on a condvar nobody signals. Only the reaper (or the
-// sandbox's SIGKILL) can end it.
+// Hung cell: waits forever on a condvar nobody signals. Only the sandbox's SIGKILL
+// can end it.
 SeededTrial HungCell() {
   return MakeSupervisableOsTrial([](OsRuntime& rt, std::uint64_t) -> std::string {
     std::unique_ptr<RtMutex> mu = rt.CreateMutex();
     std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
     std::unique_lock<RtMutex> lock(*mu);
-    while (true) {  // Predicate is forever false; Wait unwinds via TrialAborted.
+    while (true) {  // Predicate is forever false.
       cv->Wait(*mu);
     }
   });
 }
 
-// Crashing cell: the trial body dies on every seed. In-process this is an escaping
-// exception; under --sandbox=1 the whole child process exits abnormally.
+// Crashing cell: the trial body dies on every seed; its child exits abnormally.
 SeededTrial CrashCell() {
   return MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t seed) -> std::string {
     throw std::runtime_error("synthetic defect: trial state corrupted at seed " +
@@ -88,10 +88,20 @@ int main(int argc, char** argv) {
   bench::Reporter reporter(options);
 
   SupervisorOptions supervisor;
-  supervisor.trial_deadline =
-      std::chrono::milliseconds(options.trial_deadline_ms > 0 ? options.trial_deadline_ms
-                                                              : 250);
-  supervisor.sandbox = extras.count("sandbox") != 0 && extras["sandbox"] == "1";
+  supervisor.trial_deadline = std::chrono::milliseconds(250);
+  for (const auto& [key, value] : extras) {
+    char* end = nullptr;
+    const long ms = std::strtol(value.c_str(), &end, 10);
+    if (key != "trial-deadline" || value.empty() || *end != '\0' || ms <= 0 ||
+        ms > INT_MAX) {
+      std::fprintf(stderr,
+                   "supervised_sweep: bad flag '--%s=%s' (only --trial-deadline=<ms>, "
+                   "ms > 0)\n",
+                   key.c_str(), value.c_str());
+      return 2;
+    }
+    supervisor.trial_deadline = std::chrono::milliseconds(ms);
+  }
 
   std::vector<SupervisedCell> cells;
   cells.push_back({"bounded-buffer/semaphore", HealthyCell<SemaphoreBoundedBuffer>()});
@@ -100,9 +110,8 @@ int main(int argc, char** argv) {
   cells.push_back({"crash/synthetic-defect", CrashCell()});
 
   const int seeds = options.SeedsOr(8);
-  std::printf("=== Supervised sweep: %d seed(s)/cell, deadline %lldms, sandbox %s ===\n\n",
-              seeds, static_cast<long long>(supervisor.trial_deadline.count()),
-              supervisor.sandbox ? "on" : "off");
+  std::printf("=== Supervised sweep: %d seed(s)/cell, deadline %lldms ===\n\n", seeds,
+              static_cast<long long>(supervisor.trial_deadline.count()));
 
   bool gate_failed = false;
   const double wall_seconds = bench::TimeSeconds([&] {

@@ -1,7 +1,6 @@
 #include "syneval/runtime/os_runtime.h"
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -24,8 +23,6 @@ namespace syneval {
 namespace {
 
 thread_local std::uint32_t g_os_thread_id = 0;
-// Its address identifies the calling thread (ids are 0 for every unmanaged thread).
-thread_local char g_os_thread_token = 0;
 
 // Consults the runtime's fault injector (if any) at `site`. Returns the decision;
 // throws out of the calling primitive when the decision is a kill. Under OsRuntime the
@@ -99,7 +96,7 @@ class OsMutex : public RtMutex {
     AnomalyDetector* det = rt_->anomaly_detector();
     FlightRecorder* flight = rt_->flight_recorder();
     if (det == nullptr && flight == nullptr) {
-      LockBlocking();
+      mu_.lock();
     } else {
       const std::uint32_t tid = rt_->CurrentThreadId();
       bool contended = false;
@@ -111,7 +108,7 @@ class OsMutex : public RtMutex {
         if (flight != nullptr) {
           flight->Record(tid, FlightEventType::kBlock, this, FlightNowNanos(rt_));
         }
-        LockBlocking();
+        mu_.lock();
         if (det != nullptr) {
           det->OnWake(tid, this);
         }
@@ -132,9 +129,6 @@ class OsMutex : public RtMutex {
         flight->Record(tid, FlightEventType::kAcquire, this, FlightNowNanos(rt_));
       }
     }
-    if (rt_->abortable()) {
-      owner_.store(&g_os_thread_token, std::memory_order_relaxed);
-    }
     try {
       if (FaultDecision fault = ConsultInjector(rt_, FaultSite::kLockPost)) {
         if (fault.kind == FaultKind::kStall) {
@@ -146,23 +140,12 @@ class OsMutex : public RtMutex {
       // stays sound (destroying or abandoning a locked std::mutex is undefined), but
       // skip OnRelease — to the detector and every observer the dead thread holds
       // this lock forever, which is the damage a mid-protocol death models.
-      owner_.store(nullptr, std::memory_order_relaxed);
       mu_.unlock();
       throw;
     }
   }
 
   void Unlock() override {
-    if (rt_->abortable()) {
-      // An abort unwind can reach the guard of a mutex this thread does not hold: a
-      // Wait whose re-acquisition gave up (LockBlocking) throws without it. Releasing
-      // then would free a peer's hold, so only the owner releases.
-      if (owner_.load(std::memory_order_relaxed) != &g_os_thread_token) {
-        assert(rt_->Aborting() && "OsMutex::Unlock by a thread that does not hold it");
-        return;
-      }
-      owner_.store(nullptr, std::memory_order_relaxed);
-    }
     if (AnomalyDetector* det = rt_->anomaly_detector()) {
       det->OnRelease(rt_->CurrentThreadId(), this);
       // Releases matter only for runs that can build a postmortem (detector
@@ -176,45 +159,30 @@ class OsMutex : public RtMutex {
   }
 
  private:
-  // Blocking acquisition. In abortable mode a try_lock poll loop that throws
-  // TrialAborted once RequestAbort() was called — without the lock held. A guard
-  // being constructed then never releases what was never acquired, and a guard around
-  // a Wait whose re-acquisition threw finds no ownership in Unlock(). The open OnBlock
-  // the contended path may have recorded is moot: the supervisor puts the detector into
-  // SetAborting() before requesting the abort, and OnThreadFinish discards the
-  // thread's wait records when the unwound thread exits.
-  void LockBlocking() {
-    if (!rt_->abortable()) {
-      mu_.lock();
-      return;
-    }
-    while (!mu_.try_lock()) {
-      if (rt_->Aborting()) {
-        throw TrialAborted{};
-      }
-      std::this_thread::sleep_for(rt_->abort_poll());
-    }
-  }
-
   OsRuntime* rt_;
   std::mutex mu_;
-  // Abortable mode only: the holder's g_os_thread_token (see Unlock).
-  std::atomic<const char*> owner_{nullptr};
+};
+
+// A condvar's sleep gate: waiters sleep on `cv` holding `mu` (see os_runtime.h).
+struct WaitGate {
+  std::mutex mu;
+  std::condition_variable cv;
+
+  // Passes through `mu` (lock, unlock), then notifies: a waiter that took `mu` before
+  // the caller's state change is asleep by then, and the woken thread finds `mu` free.
+  void Wake(bool all) {
+    { std::lock_guard<std::mutex> lock(mu); }
+    if (all) {
+      cv.notify_all();
+    } else {
+      cv.notify_one();
+    }
+  }
 };
 
 class OsCondVar : public RtCondVar {
  public:
-  explicit OsCondVar(OsRuntime* rt) : rt_(rt) {
-    if (rt_->abortable()) {
-      rt_->RegisterAbortWaiter(&gate_);
-    }
-  }
-
-  ~OsCondVar() override {
-    if (rt_->abortable()) {
-      rt_->UnregisterAbortWaiter(&gate_);
-    }
-  }
+  explicit OsCondVar(OsRuntime* rt) : rt_(rt) {}
 
   void Wait(RtMutex& mutex) override { WaitImpl(mutex, /*timeout_nanos=*/0); }
 
@@ -264,9 +232,6 @@ class OsCondVar : public RtCondVar {
     if (flight != nullptr) {
       flight->Record(tid, FlightEventType::kBlock, this, FlightNowNanos(rt_));
     }
-    // A TrialAborted out of WaitBlocking needs no cleanup here: the detector is in
-    // SetAborting() by then, so the missing OnWake is moot (OnThreadFinish discards
-    // the record).
     const bool notified = WaitBlocking(mutex, timeout_nanos);
     if (det != nullptr) {
       det->OnWake(tid, this);
@@ -294,27 +259,19 @@ class OsCondVar : public RtCondVar {
   // before it notifies, cannot notify before the waiter is asleep. On return the gate
   // is dropped first and the user mutex re-acquired through RtMutex::Lock(), so every
   // lock hook and fault site fires exactly as for any other acquisition.
-  //
-  // Abortable mode needs no poll slices here: RequestAbort() sets the flag and then
-  // passes every registered gate before its notify_all, so a waiter that found the
-  // flag clear under the gate is asleep before that wake. It then throws TrialAborted
-  // with the user mutex re-held, or from RtMutex::Lock() without it when a peer holds
-  // the mutex (the caller's guard then releases nothing; see OsMutex::Unlock).
   bool WaitBlocking(RtMutex& mutex, std::uint64_t timeout_nanos) {
     bool notified = true;
     waiters_.fetch_add(1, std::memory_order_relaxed);
     {
       std::unique_lock<std::mutex> gate(gate_.mu);
       mutex.Unlock();
-      if (!(rt_->abortable() && rt_->Aborting())) {
-        if (timeout_nanos == 0) {
-          gate_.cv.wait(gate);
-        } else {
-          // One absolute deadline: a spurious wakeup returns rather than re-arms.
-          const Deadline deadline = Deadline::AfterNanos(timeout_nanos);
-          notified = gate_.cv.wait_until(gate, deadline.time_point()) ==
-                     std::cv_status::no_timeout;
-        }
+      if (timeout_nanos == 0) {
+        gate_.cv.wait(gate);
+      } else {
+        // One absolute deadline: a spurious wakeup returns rather than re-arms.
+        const Deadline deadline = Deadline::AfterNanos(timeout_nanos);
+        notified = gate_.cv.wait_until(gate, deadline.time_point()) ==
+                   std::cv_status::no_timeout;
       }
     }
     try {
@@ -324,9 +281,6 @@ class OsCondVar : public RtCondVar {
       throw;
     }
     waiters_.fetch_sub(1, std::memory_order_relaxed);
-    if (rt_->abortable() && rt_->Aborting()) {
-      throw TrialAborted{};
-    }
     return notified;
   }
 
@@ -356,7 +310,7 @@ class OsCondVar : public RtCondVar {
   }
 
   OsRuntime* rt_;
-  OsRuntime::WaitGate gate_;
+  WaitGate gate_;
   // Threads between counting themselves in WaitBlocking (under the user mutex, before
   // releasing it) and re-acquiring the user mutex after the wait. Exact for a notifier
   // that holds the user mutex or changed the waited-on state under it, which is what
@@ -396,27 +350,6 @@ class OsThread : public RtThread {
 
 OsRuntime::~OsRuntime() { StopAnomalyWatchdog(); }
 
-void OsRuntime::RequestAbort() {
-  aborting_.store(true, std::memory_order_release);
-  // Wake every sleeping condvar waiter through its gate, so one that checked the flag
-  // before the store is asleep by the time the notify lands. Holding abort_mu_ across
-  // the wakes keeps the registered gates alive (unregistration blocks on it).
-  std::lock_guard<std::mutex> lock(abort_mu_);
-  for (WaitGate* gate : abort_waiters_) {
-    gate->Wake(/*all=*/true);
-  }
-}
-
-void OsRuntime::RegisterAbortWaiter(WaitGate* gate) {
-  std::lock_guard<std::mutex> lock(abort_mu_);
-  abort_waiters_.insert(gate);
-}
-
-void OsRuntime::UnregisterAbortWaiter(WaitGate* gate) {
-  std::lock_guard<std::mutex> lock(abort_mu_);
-  abort_waiters_.erase(gate);
-}
-
 std::unique_ptr<RtMutex> OsRuntime::CreateMutex() {
   auto mutex = std::make_unique<OsMutex>(this);
   if (AnomalyDetector* det = anomaly_detector()) {
@@ -452,10 +385,6 @@ std::unique_ptr<RtThread> OsRuntime::StartThread(std::string name, std::function
       // Killed by an injected kill-thread fault: the thread ends mid-protocol. RAII
       // guards between the injection site and here have already unwound; whatever had
       // no guard stays exactly as the kill left it.
-    } catch (const TrialAborted&) {
-      // Force-unwound by a supervisor reaper (RequestAbort). Mechanism releases
-      // reached from RAII guards during this unwind no-op behind Aborting(), exactly
-      // as in DetRuntime's post-deadlock teardown.
     }
     if (det != nullptr) {
       det->OnThreadFinish(id);

@@ -11,19 +11,18 @@
 //   * NotifyOne/NotifyAll skip the wake entirely when the count is zero (every
 //     uncontended V or region exit). Otherwise they pass through the gate (lock,
 //     unlock) and only then notify, so the woken thread never runs into a held lock.
-//   * The count is decremented after the user mutex is re-held, on abort unwinds too,
-//     and is the waiter count the attachments see for each signal.
+//   * The count is decremented after the user mutex is re-held, on kill-fault unwinds
+//     too, and is the waiter count the attachments see for each signal.
 //
 // The other added machinery is logical thread ids (which the trace layer uses to label
 // events) and, when an AnomalyDetector is attached, blocking hooks on the primitives
 // plus an optional sampling watchdog thread that periodically calls
 // AnomalyDetector::Poll() to flag long-stuck waits in live runs.
 //
-// Abortable mode (opt-in, for supervised trials — runtime/supervisor.h): blocking
-// mutex acquisitions become short poll loops that check an abort flag, and condvar
-// waiters are woken through their gates, so a supervisor's reaper can force-unwind a
-// genuinely deadlocked trial through the Runtime::Aborting() seam instead of stalling
-// the whole sweep. See RequestAbort().
+// An OsRuntime trial cannot be unwound from outside: a blocked thread sits in the OS
+// until it is woken. A genuinely deadlocked trial is ended by the supervisor's fork
+// sandbox, which SIGKILLs the child process running it (runtime/supervisor.h), so
+// Aborting() stays false here.
 
 #ifndef SYNEVAL_RUNTIME_OS_RUNTIME_H_
 #define SYNEVAL_RUNTIME_OS_RUNTIME_H_
@@ -35,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 
@@ -43,66 +41,10 @@
 
 namespace syneval {
 
-// Thrown out of OsRuntime primitives in abortable mode once RequestAbort() was called:
-// the managed thread unwinds through its RAII guards (which no-op their mechanism
-// releases while Runtime::Aborting() is true) and finishes. Caught by the StartThread
-// wrapper exactly like an injected ThreadKilledFault.
-struct TrialAborted {};
-
 class OsRuntime : public Runtime {
  public:
-  struct Options {
-    // Abortable mode. Off (the default), blocking primitives call straight into the
-    // OS — zero overhead, but a deadlocked trial can only be reaped by the process
-    // sandbox. On, threads blocked on a mutex poll the abort flag every `abort_poll`
-    // and condvar waiters are woken by RequestAbort() itself, trading a bounded wakeup
-    // latency for cooperative force-unwind.
-    bool abortable = false;
-    std::chrono::microseconds abort_poll{200};
-  };
-
   OsRuntime() = default;
-  explicit OsRuntime(const Options& options) : options_(options) {}
   ~OsRuntime() override;
-
-  // True once RequestAbort() was called (runtime.h seam: mechanism RAII releases
-  // no-op during the unwind).
-  bool Aborting() const override {
-    return aborting_.load(std::memory_order_acquire);
-  }
-
-  // Asks every current and future blocking primitive call to throw TrialAborted.
-  // Only effective in abortable mode; callers should put the attached detector into
-  // SetAborting(true) first so the unwind's hook traffic is ignored. Safe from any
-  // thread, idempotent.
-  void RequestAbort();
-
-  bool abortable() const { return options_.abortable; }
-  std::chrono::microseconds abort_poll() const { return options_.abort_poll; }
-
-  // A condvar's sleep gate: waiters sleep on `cv` holding `mu` (see the header
-  // comment).
-  struct WaitGate {
-    std::mutex mu;
-    std::condition_variable cv;
-
-    // Passes through `mu` (lock, unlock), then notifies: a waiter that took `mu`
-    // before the caller's state change is asleep by then, and the woken thread finds
-    // `mu` free.
-    void Wake(bool all) {
-      { std::lock_guard<std::mutex> lock(mu); }
-      if (all) {
-        cv.notify_all();
-      } else {
-        cv.notify_one();
-      }
-    }
-  };
-
-  // Internal registry (used by the runtime's condvars): RequestAbort() must wake
-  // sleeping waiters, so every live condvar of an abortable runtime registers its gate.
-  void RegisterAbortWaiter(WaitGate* gate);
-  void UnregisterAbortWaiter(WaitGate* gate);
 
   std::unique_ptr<RtMutex> CreateMutex() override;
   std::unique_ptr<RtCondVar> CreateCondVar() override;
@@ -148,12 +90,7 @@ class OsRuntime : public Runtime {
   void StopAnomalyWatchdog();
 
  private:
-  const Options options_;
   std::atomic<std::uint32_t> next_thread_id_{1};
-
-  std::atomic<bool> aborting_{false};
-  std::mutex abort_mu_;
-  std::set<WaitGate*> abort_waiters_;
 
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

@@ -111,7 +111,9 @@ class Runtime {
   // post-deadlock teardown in DetRuntime::Run). Mechanism release operations reached
   // from RAII destructors during that unwind must be no-ops: the thread may have
   // surrendered ownership inside the wait it was parked in when the abort hit, so the
-  // usual "caller owns the resource" preconditions no longer hold.
+  // usual "caller owns the resource" preconditions no longer hold. Only DetRuntime
+  // ever unwinds a run; an OsRuntime trial that hangs is killed with the process that
+  // runs it (the supervisor's fork sandbox), so OsRuntime keeps this default.
   virtual bool Aborting() const { return false; }
 
   // Lifetime contract of every Attach* below: the runtime keeps a raw pointer, so an

@@ -24,6 +24,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SYNEVAL_SANDBOX_AVAILABLE 1
+#include <cerrno>
 #include <csignal>
 #include <new>
 #include <signal.h>
@@ -64,7 +65,7 @@ SupervisorStats& SupervisorStats::operator+=(const SupervisorStats& other) {
   return *this;
 }
 
-// ---- The abort/observe seam --------------------------------------------------------
+// ---- The observe seam ---------------------------------------------------------------
 
 TrialObservation ObservePostmortem(const FlightRecorder& flight,
                                    const AnomalyDetector& detector) {
@@ -75,145 +76,71 @@ TrialObservation ObservePostmortem(const FlightRecorder& flight,
   return obs;
 }
 
+// Holds the observe callback the trial registered. The slot mutex is held across the
+// callback, so the scope's destructor cannot pull the captures out from under an
+// in-flight observe.
+class TrialObserverSlot {
+ public:
+  // A live postmortem of the registered trial ("" fields when nothing is registered
+  // or there is nothing to explain yet).
+  TrialObservation Observe() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return observe_ ? observe_() : TrialObservation{};
+  }
+
+  void Set(std::function<TrialObservation()> observe) {
+    std::lock_guard<std::mutex> lock(mu_);
+    observe_ = std::move(observe);
+  }
+
+ private:
+  std::mutex mu_;
+  std::function<TrialObservation()> observe_;
+};
+
 namespace {
 
-// The slot installed on this thread by RunWithTrialDeadline (nullptr when the thread
-// is running unsupervised).
-thread_local TrialAbortSlot* g_trial_abort_slot = nullptr;
+// The slot of this process's trial: set only in a sandbox child, which runs one trial.
+TrialObserverSlot* g_observer_slot = nullptr;
 
 }  // namespace
 
-void TrialAbortSlot::Abort() {
-  // The slot mutex is held across the callback so Unregister() (the trial's scope
-  // destructor) cannot pull the captures out from under an in-flight abort.
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
-  if (abort_) {
-    abort_();
-  }
-}
-
-TrialObservation TrialAbortSlot::Observe() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return observe_ ? observe_() : TrialObservation{};
-}
-
-bool TrialAbortSlot::aborted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return aborted_;
-}
-
-void TrialAbortSlot::Register(std::function<void()> abort,
-                              std::function<TrialObservation()> observe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  abort_ = std::move(abort);
-  observe_ = std::move(observe);
-  if (aborted_ && abort_) {
-    // The reaper fired before the trial finished constructing its runtime; deliver
-    // the abort now so the freshly-registered trial unwinds promptly.
-    abort_();
-  }
-}
-
-void TrialAbortSlot::Unregister() {
-  std::lock_guard<std::mutex> lock(mu_);
-  abort_ = nullptr;
-  observe_ = nullptr;
-}
-
-TrialAbortScope::TrialAbortScope(std::function<void()> abort,
-                                 std::function<TrialObservation()> observe)
-    : slot_(g_trial_abort_slot) {
+TrialObserverScope::TrialObserverScope(std::function<TrialObservation()> observe)
+    : slot_(g_observer_slot) {
   if (slot_ != nullptr) {
-    slot_->Register(std::move(abort), std::move(observe));
+    slot_->Set(std::move(observe));
   }
 }
 
-TrialAbortScope::~TrialAbortScope() {
+TrialObserverScope::~TrialObserverScope() {
   if (slot_ != nullptr) {
-    slot_->Unregister();
+    slot_->Set(nullptr);
   }
 }
 
-TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
-                                     std::chrono::milliseconds deadline,
-                                     const std::function<void()>& fn) {
-  TrialReapResult result;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::thread reaper;
-  if (deadline.count() > 0) {
-    reaper = std::thread([&] {
-      const Deadline until = Deadline::After(deadline);
-      std::unique_lock<std::mutex> lock(mu);
-      if (cv.wait_until(lock, until.time_point(), [&] { return done; })) {
-        return;  // The trial finished inside its budget; nothing to reap.
-      }
-      lock.unlock();
-      result.reaped = true;
-      // Capture the hung state BEFORE unwinding it — after the abort the
-      // interesting waits are gone.
-      result.observation = slot.Observe();
-      slot.Abort();
-    });
-  }
-
-  TrialAbortSlot* const previous = g_trial_abort_slot;
-  g_trial_abort_slot = &slot;
-  std::exception_ptr error;
-  try {
-    fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  g_trial_abort_slot = previous;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-  }
-  cv.notify_all();
-  if (reaper.joinable()) {
-    reaper.join();
-  }
-  if (error) {
-    std::rethrow_exception(error);
-  }
-  return result;
-}
-
-// ---- Canned abortable OsRuntime trial ----------------------------------------------
+// ---- Canned OsRuntime trial ---------------------------------------------------------
 
 SeededTrial MakeSupervisableOsTrial(
     std::function<std::string(OsRuntime&, std::uint64_t seed)> body) {
   return [body = std::move(body)](std::uint64_t seed) {
-    // Observe()-time Poll threshold: the only Poll caller here is the reaper, one
-    // sample at the deadline, so a low threshold cannot produce steady-state false
+    // Observe()-time Poll threshold: the only Poll caller here is the sandbox child,
+    // once, after the deadline, so a low threshold cannot produce steady-state false
     // positives — it just lets the postmortem name waits the deadline already proved
     // suspicious.
     AnomalyDetector::Options detector_options;
     detector_options.stuck_wait_nanos = 10'000'000;  // 10 ms
-    OsRuntime::Options runtime_options;
-    runtime_options.abortable = true;
     // Attachments first, so they outlive the runtime (runtime.h).
     AnomalyDetector detector{detector_options};
     FlightRecorder flight{FlightRecorder::Options::ForTrial()};
-    OsRuntime runtime(runtime_options);
+    OsRuntime runtime;
     runtime.AttachAnomalyDetector(&detector);
     runtime.AttachFlightRecorder(&flight);
-    TrialAbortScope abort_scope(
-        [&] {
-          // Detector first: the unwind's hook traffic (threads releasing resources
-          // they no longer own) must be ignored, exactly as in DetRuntime's teardown.
-          detector.SetAborting(true);
-          runtime.RequestAbort();
-        },
-        [&] {
-          // One Poll classifies the currently-parked threads (the trial is presumed
-          // hung when this runs), then the flight recorder narrates them.
-          detector.Poll(static_cast<std::int64_t>(runtime.NowNanos()));
-          return ObservePostmortem(flight, detector);
-        });
+    TrialObserverScope observer_scope([&] {
+      // One Poll classifies the currently-parked threads (the trial is presumed hung
+      // when this runs), then the flight recorder narrates them.
+      detector.Poll(static_cast<std::int64_t>(runtime.NowNanos()));
+      return ObservePostmortem(flight, detector);
+    });
     TrialReport report;
     report.message = body(runtime, seed);
     report.anomalies = detector.counts();
@@ -230,37 +157,6 @@ SeededTrial MakeSupervisableOsTrial(
 
 namespace {
 
-// ---- One attempt --------------------------------------------------------------------
-
-// Runs `fn` once on the calling thread as one in-process attempt: a fresh slot is
-// installed and reaped at options.trial_deadline (RunWithTrialDeadline), and an
-// exception escaping `fn` becomes a crash record. A TrialAborted escaping a reaped
-// attempt is its abort path, not a crash. Sets the result's reaped/crashed/crash; the
-// reaper's pre-abort harvest lands in *harvest.
-SupervisedTrialResult RunInProcessAttempt(const SupervisorOptions& options,
-                                          const std::function<void()>& fn,
-                                          TrialObservation* harvest) {
-  SupervisedTrialResult result;
-  TrialAbortSlot slot;
-  TrialReapResult reap = RunWithTrialDeadline(slot, options.trial_deadline, [&] {
-    try {
-      fn();
-    } catch (const TrialAborted&) {
-      // The reaper fired while the driving thread itself was parked in a primitive.
-    } catch (const std::exception& e) {
-      result.crashed = true;
-      result.crash.what = e.what();
-    } catch (...) {
-      result.crashed = true;
-      result.crash.what = "unknown exception";
-    }
-  });
-  result.crash.crashed = result.crashed;
-  result.reaped = reap.reaped;
-  *harvest = std::move(reap.observation);
-  return result;
-}
-
 // ---- fork() process sandbox ---------------------------------------------------------
 
 #if SYNEVAL_SANDBOX_AVAILABLE
@@ -273,10 +169,15 @@ constexpr std::size_t kShmReportCap = 32768;
 
 enum : std::uint32_t { kShmRunning = 0, kShmDone = 1, kShmCrashed = 2 };
 
+// How long the parent waits, past the deadline, for the child to publish its live
+// postmortem before it SIGKILLs it. One observe is a detector Poll and a postmortem
+// build: microseconds to milliseconds, unless the child is wedged too hard to run it.
+constexpr std::chrono::milliseconds kObserveGrace{1000};
+
 // One postmortem snapshot, guarded by a per-slot seqlock (odd while the child is
-// writing). The child's heartbeat thread round-robins the slots; the parent harvests
-// the newest slot whose sequence reads even and stable — a consistent snapshot even
-// when the child is wedged or freshly SIGKILLed mid-write.
+// writing). Each publish takes the next slot; the parent harvests the newest slot
+// whose sequence reads even and stable — a consistent snapshot even when the child is
+// wedged or freshly SIGKILLed mid-write.
 struct ShmPostmortemSlot {
   std::atomic<std::uint32_t> seq;
   char cause[kShmCauseCap];
@@ -285,7 +186,7 @@ struct ShmPostmortemSlot {
 
 struct ShmBlock {
   std::atomic<std::uint32_t> state;  // kShmRunning / kShmDone / kShmCrashed.
-  std::atomic<std::uint64_t> heartbeat;
+  std::atomic<std::uint32_t> observed;   // 1 once the child's post-deadline observe ran.
   std::atomic<std::uint32_t> pm_cursor;  // Next slot index (monotonic).
   std::int32_t signal_number;
   char what[kShmWhatCap];
@@ -294,8 +195,7 @@ struct ShmBlock {
   ShmPostmortemSlot slots[kShmSlots];
 };
 
-static_assert(std::atomic<std::uint32_t>::is_always_lock_free &&
-                  std::atomic<std::uint64_t>::is_always_lock_free,
+static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "sandbox shared-memory protocol needs lock-free atomics");
 
 void ShmCopyString(char* dst, std::size_t cap, const std::string& src) {
@@ -371,10 +271,13 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
 }
 
 // Child-side body; never returns. Everything the trial does — constructor included —
-// happens after the fork, so a crash anywhere is contained.
+// happens after the fork, so a crash anywhere is contained. `deadline` is the
+// parent's (null when untimed): past it, an observer thread observes the trial once
+// and publishes the postmortem. Observing earlier could change a healthy trial's
+// verdict, since the observe's detector Poll counts what it finds into the trial's
+// report; past the deadline the attempt is reaped, so no verdict is left to change.
 [[noreturn]] void RunSandboxChild(ShmBlock* block, const SeededTrial& trial,
-                                  std::uint64_t seed,
-                                  const SupervisorOptions& options) {
+                                  std::uint64_t seed, const Deadline* deadline) {
   g_sandbox_block = block;
   struct sigaction action {};
   action.sa_handler = SandboxCrashHandler;
@@ -392,41 +295,49 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
     std::abort();
   });
 
-  block->heartbeat.fetch_add(1, std::memory_order_relaxed);
   TrialReport report;
   {
-    TrialAbortSlot slot;
-    // Heartbeat + live-postmortem publisher: keeps the ring fresh so the parent can
-    // harvest a recent snapshot after SIGKILLing a hung child.
-    std::atomic<bool> stop{false};
-    std::thread publisher([&] {
-      const auto period = std::max<std::chrono::milliseconds>(options.sandbox_poll,
-                                                              std::chrono::milliseconds(1));
-      while (!stop.load(std::memory_order_relaxed)) {
-        block->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    TrialObserverSlot slot;
+    g_observer_slot = &slot;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool finished = false;
+    std::thread observer;
+    if (deadline != nullptr) {
+      observer = std::thread([&] {
+        std::unique_lock<std::mutex> lock(mu);
+        if (cv.wait_until(lock, deadline->time_point(), [&] { return finished; })) {
+          return;  // The trial finished inside its budget: nothing to observe.
+        }
+        lock.unlock();
         SandboxPublishPostmortem(block, slot.Observe());
-        std::this_thread::sleep_for(period);
-      }
-    });
+        block->observed.store(1, std::memory_order_release);
+      });
+    }
 
     std::string crash;
     try {
-      // No reaper in here: the parent's SIGKILL is the deadline.
-      RunWithTrialDeadline(slot, std::chrono::milliseconds(0),
-                           [&] { report = trial(seed); });
+      report = trial(seed);
     } catch (const std::exception& e) {
       crash = e.what();
     } catch (...) {
       crash = "unknown exception";
     }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      finished = true;
+    }
+    cv.notify_all();
+    if (observer.joinable()) {
+      observer.join();  // Before any exit: TSan's exit waits a second for live threads.
+    }
+    g_observer_slot = nullptr;
     if (!crash.empty()) {
       ShmCopyString(block->what, kShmWhatCap, crash);
       block->signal_number = 0;
       block->state.store(kShmCrashed, std::memory_order_release);
       _exit(125);
     }
-    stop.store(true, std::memory_order_relaxed);
-    publisher.join();
   }
 
   // Ship the report; shed its biggest fields one by one if it cannot fit.
@@ -451,51 +362,66 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
   _exit(0);
 }
 
-// Runs one attempt in a fork()ed child. False, running nothing, when no shared memory
-// or no child could be had (the caller then supervises in-process). The harvested
-// postmortem of a killed or crashed child lands in *harvest.
-bool RunSandboxedAttempt(const SeededTrial& trial, std::uint64_t seed,
+// Polls `child` every `poll` until it exits (true, its status in *status) or until
+// `until` (when set) expires or `stop()` holds (false).
+bool AwaitChild(pid_t child, int* status, const std::optional<Deadline>& until,
+                const std::function<bool()>& stop, std::chrono::milliseconds poll) {
+  for (;;) {
+    if (waitpid(child, status, WNOHANG) == child) {
+      return true;
+    }
+    if ((until && until->Expired()) || stop()) {
+      return false;
+    }
+    std::this_thread::sleep_for(poll);
+  }
+}
+
+// Runs one attempt in a fork()ed child. An attempt that cannot get its shared memory
+// or its child is a crashed attempt. The harvested postmortem of a killed or crashed
+// child lands in *harvest.
+void RunSandboxedAttempt(const SeededTrial& trial, std::uint64_t seed,
                          const SupervisorOptions& options, SupervisedTrialResult* result,
                          TrialObservation* harvest) {
   void* mapping = mmap(nullptr, sizeof(ShmBlock), PROT_READ | PROT_WRITE,
                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (mapping == MAP_FAILED) {
-    return false;
+    result->crashed = true;
+    result->crash.what = std::string("sandbox: mmap failed: ") + std::strerror(errno);
+    result->crash.crashed = true;
+    return;
   }
   ShmBlock* block = new (mapping) ShmBlock();
 
+  std::optional<Deadline> deadline;
+  if (options.trial_deadline.count() > 0) {
+    deadline = Deadline::After(options.trial_deadline);
+  }
   const pid_t child = fork();
   if (child < 0) {
+    result->crashed = true;
+    result->crash.what = std::string("sandbox: fork failed: ") + std::strerror(errno);
+    result->crash.crashed = true;
     munmap(mapping, sizeof(ShmBlock));
-    return false;
+    return;
   }
   if (child == 0) {
-    RunSandboxChild(block, trial, seed, options);  // _exits; never returns.
+    RunSandboxChild(block, trial, seed, deadline ? &*deadline : nullptr);  // _exits.
   }
 
-  const bool untimed = options.trial_deadline.count() <= 0;
-  const Deadline deadline = Deadline::After(
-      untimed ? std::chrono::hours(24) : std::chrono::duration_cast<Deadline::Clock::duration>(
-                                             options.trial_deadline));
   int status = 0;
-  bool exited = false;
-  for (;;) {
-    const pid_t waited = waitpid(child, &status, WNOHANG);
-    if (waited == child) {
-      exited = true;
-      break;
-    }
-    if (!untimed && deadline.Expired()) {
-      break;
-    }
-    std::this_thread::sleep_for(options.sandbox_poll);
-  }
-
-  if (!exited) {
-    // Deadline: the reap no in-process mechanism can refuse.
-    kill(child, SIGKILL);
-    waitpid(child, &status, 0);
+  if (!AwaitChild(child, &status, deadline, [] { return false; }, options.sandbox_poll)) {
+    // Deadline: the attempt is reaped. The child observes itself once it sees the
+    // deadline pass; give it a bounded grace to publish that, then kill it.
     result->reaped = true;
+    const bool exited = AwaitChild(
+        child, &status, Deadline::After(kObserveGrace),
+        [block] { return block->observed.load(std::memory_order_acquire) != 0; },
+        options.sandbox_poll);
+    if (!exited) {
+      kill(child, SIGKILL);
+      waitpid(child, &status, 0);
+    }
     *harvest = SandboxHarvestPostmortem(block);
   } else {
     const std::uint32_t state = block->state.load(std::memory_order_acquire);
@@ -524,28 +450,32 @@ bool RunSandboxedAttempt(const SeededTrial& trial, std::uint64_t seed,
   }
   result->crash.crashed = result->crashed;
   munmap(mapping, sizeof(ShmBlock));
-  return true;
 }
 
 #endif  // SYNEVAL_SANDBOX_AVAILABLE
 
-// One attempt of a plain seeded trial — sandboxed when asked and possible, else
-// in-process — folded into its report.
+// One attempt of a plain seeded trial — in the fork sandbox where there is one, else
+// called in-process with exception capture and no deadline — folded into its report.
 SupervisedTrialResult RunSeededAttempt(const SeededTrial& trial, std::uint64_t seed,
                                        const SupervisorOptions& options) {
   SupervisedTrialResult result;
   TrialObservation harvest;
-  bool sandboxed = false;
 #if SYNEVAL_SANDBOX_AVAILABLE
-  sandboxed = options.sandbox && RunSandboxedAttempt(trial, seed, options, &result, &harvest);
-#endif
-  if (!sandboxed) {
-    TrialReport report;
-    result = RunInProcessAttempt(options, [&] { report = trial(seed); }, &harvest);
-    result.report = std::move(report);
+  RunSandboxedAttempt(trial, seed, options, &result, &harvest);
+#else
+  try {
+    result.report = trial(seed);
+  } catch (const std::exception& e) {
+    result.crashed = true;
+    result.crash.what = e.what();
+  } catch (...) {
+    result.crashed = true;
+    result.crash.what = "unknown exception";
   }
+  result.crash.crashed = result.crashed;
+#endif
   if (result.reaped) {
-    // Whatever the unwound trial's oracle said about its half-executed workload is
+    // Whatever the killed trial's oracle said about its half-executed workload is
     // not a verdict; the supervised outcome is "this seed's trial hung".
     result.report.message = "reaped: trial exceeded " +
                             std::to_string(options.trial_deadline.count()) + "ms deadline";

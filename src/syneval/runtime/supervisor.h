@@ -10,22 +10,18 @@
 // reaped or retried — its rows are supervised by the quarantine rule alone.
 //
 //   * The seam. A supervised trial is a plain seeded trial (TrialReport(seed)). It
-//     registers its abort and observe callbacks from inside its own body through a
-//     TrialAbortScope, into the TrialAbortSlot its thread has installed
-//     (MakeSupervisableOsTrial: AnomalyDetector::SetAborting, then
-//     OsRuntime::RequestAbort, so every blocked thread throws TrialAborted and unwinds
-//     through RAII guards that no-op behind the Runtime::Aborting() seam).
-//   * The reaper. RunWithTrialDeadline runs one attempt with a slot installed; past
-//     the deadline its reaper thread captures a live postmortem through the slot's
-//     observe and then force-unwinds the trial through its abort.
-//   * The sandbox. For cells that cannot be unwound cooperatively, an opt-in
-//     fork()-based process sandbox runs the trial in a child process: the child
-//     installs a slot, runs the trial, and its heartbeat thread publishes the slot's
-//     live postmortems into a shared-memory ring (per-slot seqlock, so the parent can
-//     harvest a consistent snapshot from a wedged child); SIGSEGV / SIGABRT / SIGBUS /
-//     SIGFPE / SIGILL / std::terminate / escaping exceptions become a structured
-//     TrialCrash record in shared memory, and the parent SIGKILLs the child at the
-//     deadline — a reap no in-process mechanism can refuse.
+//     registers its observe callback from inside its own body through a
+//     TrialObserverScope (MakeSupervisableOsTrial: one detector Poll, then the
+//     flight-recorder postmortem), so a hung trial can explain itself.
+//   * The reaper. Every attempt runs in a fork()ed child process (POSIX). Once the
+//     deadline has passed the child observes its trial once and publishes the
+//     postmortem into a shared-memory ring (per-slot seqlock, so the parent can
+//     harvest a consistent snapshot from a wedged child); the parent waits a bounded
+//     grace for that, then SIGKILLs the child — a reap no trial can refuse.
+//     SIGSEGV / SIGABRT / SIGBUS / SIGFPE / SIGILL / std::terminate / escaping
+//     exceptions become a structured TrialCrash record in shared memory. Where fork()
+//     does not exist an attempt calls the trial in-process with exception capture and
+//     no deadline.
 //   * The retry. RunSupervisedSeed retries a seed's catastrophic attempts (reaped or
 //     crashed) with exponential backoff.
 //   * The quarantine rule. SupervisionVerdict::Fold walks a row's seeds in seed order
@@ -51,7 +47,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,7 +75,7 @@ class ActiveTrialScope {
   ActiveTrialScope& operator=(const ActiveTrialScope&) = delete;
 };
 
-// ---- The abort/observe seam --------------------------------------------------------
+// ---- The observe seam ---------------------------------------------------------------
 
 // A live observation of a running (possibly hung) trial, published to the supervisor
 // by the trial's observe callback: the flight-recorder postmortem as of now.
@@ -94,72 +89,31 @@ struct TrialObservation {
 TrialObservation ObservePostmortem(const FlightRecorder& flight,
                                    const AnomalyDetector& detector);
 
-// A supervised trial is a plain seeded trial. The supervisor reaches it through a
-// per-thread slot: every attempt runs with a TrialAbortSlot installed on its thread,
-// and the trial registers its abort/observe callbacks into that slot from inside its
-// own body, through a TrialAbortScope, once it has built the runtime they act on.
-// Unsupervised runs install no slot, making the scope a no-op — which is what keeps a
-// supervised healthy cell bit-identical to an unsupervised sweep of it.
+// The sandbox child's holder of its trial's observe callback (supervisor.cc).
+class TrialObserverSlot;
 
-// Reaper-facing handle to the (possibly not yet constructed) trial of one attempt.
-// Thread-safe; Abort() on an empty slot is remembered and fired on late registration,
-// so a reap cannot be lost to a construction race.
-class TrialAbortSlot {
+// RAII registration of the calling trial's observe callback with the supervisor. A
+// sandbox child installs the one slot it runs its trial with; everywhere else there is
+// none and the scope is a no-op — which is what keeps a supervised healthy cell
+// bit-identical to an unsupervised sweep of it. Construct it after everything the
+// callback captures; destruction waits for an in-flight observe, so the captures stay
+// valid for exactly the scope's lifetime.
+class TrialObserverScope {
  public:
-  // Force-unwind the registered trial (MakeSupervisableOsTrial: detector SetAborting +
-  // OsRuntime::RequestAbort).
-  void Abort();
-  // Capture a live postmortem of the registered trial ("" fields when nothing is
-  // registered or there is nothing to explain yet).
-  TrialObservation Observe();
-  bool aborted() const;
+  explicit TrialObserverScope(std::function<TrialObservation()> observe);
+  ~TrialObserverScope();
+  TrialObserverScope(const TrialObserverScope&) = delete;
+  TrialObserverScope& operator=(const TrialObserverScope&) = delete;
 
  private:
-  friend class TrialAbortScope;
-  void Register(std::function<void()> abort, std::function<TrialObservation()> observe);
-  void Unregister();
-
-  mutable std::mutex mu_;
-  bool aborted_ = false;
-  std::function<void()> abort_;
-  std::function<TrialObservation()> observe_;
+  TrialObserverSlot* slot_;
 };
-
-// RAII registration of the calling trial's abort/observe callbacks into the thread's
-// installed slot (no-op when none is installed). Construct it after everything the
-// callbacks capture; destruction synchronizes with any in-flight reaper call, so the
-// captures stay valid for exactly the scope's lifetime.
-class TrialAbortScope {
- public:
-  TrialAbortScope(std::function<void()> abort, std::function<TrialObservation()> observe);
-  ~TrialAbortScope();
-  TrialAbortScope(const TrialAbortScope&) = delete;
-  TrialAbortScope& operator=(const TrialAbortScope&) = delete;
-
- private:
-  TrialAbortSlot* slot_;
-};
-
-struct TrialReapResult {
-  bool reaped = false;           // The deadline fired before `fn` returned.
-  TrialObservation observation;  // The reaper's pre-abort harvest (sparse).
-};
-
-// Runs `fn` on the calling thread with `slot` installed as the thread's abort slot,
-// under a wall-clock deadline: a reaper thread observes and then aborts through the
-// slot when the deadline expires. deadline <= 0 runs `fn` with the slot installed but
-// no reaper. The abort is cooperative — `fn` must eventually return through its
-// runtime's abort path (an abortable OsRuntime's blocked threads throw TrialAborted);
-// code wedged outside the runtime needs the sandbox.
-TrialReapResult RunWithTrialDeadline(TrialAbortSlot& slot,
-                                     std::chrono::milliseconds deadline,
-                                     const std::function<void()>& fn);
 
 // ---- Supervision policy and results -------------------------------------------------
 
 struct SupervisorOptions {
-  // Wall-clock budget per attempt; past it the reaper fires. Zero disables reaping
-  // (the trial still gets crash capture and retries).
+  // Wall-clock budget per attempt; past it the child is observed and killed. Zero
+  // disables reaping (the trial still gets crash capture and retries).
   std::chrono::milliseconds trial_deadline{2000};
   // Attempts per seed: catastrophic attempts (reaped or crashed) are retried up to
   // max_attempts - 1 times. A trial that merely fails its oracle is a *result*, not a
@@ -172,26 +126,24 @@ struct SupervisorOptions {
   // runs (fault-on and fault-off each count once). The seeds up to that one are kept;
   // the rest are skipped.
   int quarantine_after = 2;
-  // Run each attempt in a fork()ed child (POSIX only; ignored where unavailable).
-  bool sandbox = false;
-  // Parent-side waitpid poll period and child-side heartbeat period in sandbox mode.
+  // How often the parent polls its sandbox child (waitpid) for an exit.
   std::chrono::milliseconds sandbox_poll{2};
 };
 
-// Structured record of a crashed attempt (sandbox: fatal signal or std::terminate;
-// in-process: an exception that escaped the trial).
+// Structured record of a crashed attempt: a fatal signal, std::terminate or an
+// exception that escaped the trial, or a sandbox that could not be set up.
 struct TrialCrash {
   bool crashed = false;
   int signal_number = 0;  // 0 when the crash was an exception / std::terminate.
   std::string what;       // "signal 11 (SIGSEGV)", exception message, exit status.
   std::string postmortem_cause;  // Latest complete postmortem harvested from the
-  std::string postmortem;        // shared-memory ring (sandbox only).
+  std::string postmortem;        // shared-memory ring ("" when none was published).
 };
 
 // Counters a supervised sweep aggregates; rendered as the schema-v4 `supervisor`
 // object by the bench reporter.
 struct SupervisorStats {
-  int reaped = 0;       // Attempts force-unwound at the deadline.
+  int reaped = 0;       // Attempts killed at the deadline.
   int crashed = 0;      // Attempts that died (signal, terminate, escaped exception).
   int retried = 0;      // Retry attempts performed.
   int quarantined = 0;  // Rows quarantined.
@@ -216,11 +168,11 @@ struct SupervisedTrialResult {
 // A supervised trial: one seed in, one report out (explore.h's trial shape).
 using SeededTrial = std::function<TrialReport(std::uint64_t)>;
 
-// Canned abortable OsRuntime trial: per call, builds a fresh AnomalyDetector and a
-// trial-sized FlightRecorder, then an abortable OsRuntime with both attached; registers
-// abort (detector SetAborting, then RequestAbort) and observe (one detector Poll, then
-// the postmortem) through a TrialAbortScope; runs `body` (which returns the oracle
-// verdict: empty = pass) and folds detector counts and a postmortem into the report.
+// Canned OsRuntime trial: per call, builds a fresh AnomalyDetector and a trial-sized
+// FlightRecorder, then an OsRuntime with both attached; registers observe (one
+// detector Poll, then the postmortem) through a TrialObserverScope; runs `body` (which
+// returns the oracle verdict: empty = pass) and folds detector counts and a
+// postmortem into the report.
 SeededTrial MakeSupervisableOsTrial(
     std::function<std::string(OsRuntime&, std::uint64_t seed)> body);
 
@@ -244,13 +196,12 @@ struct SupervisionVerdict {
             const SupervisorOptions& options);
 };
 
-// Full per-seed supervision of a plain seeded trial: each attempt runs in-process
-// under the deadline (or, with options.sandbox, in a fork()ed child killed at the
-// deadline), and a catastrophic attempt is retried until one is not or
-// options.max_attempts ran, sleeping retry_backoff × 2^(k-1) before retry k. An
+// Full per-seed supervision of a plain seeded trial: each attempt runs in a fork()ed
+// child killed at the deadline, and a catastrophic attempt is retried until one is
+// not or options.max_attempts ran, sleeping retry_backoff × 2^(k-1) before retry k. An
 // attempt that merely fails its oracle is a result, never retried. Returns the last
 // attempt: a reaped one's report carries the deadline message and, when the trial
-// left none, the reaper's postmortem; a crashed one's carries "crashed: <what>".
+// left none, the child's postmortem; a crashed one's carries "crashed: <what>".
 // `stats` (nullable) accumulates reaped/crashed/retried.
 SupervisedTrialResult RunSupervisedSeed(const SeededTrial& trial, std::uint64_t seed,
                                         const SupervisorOptions& options,

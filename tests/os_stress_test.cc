@@ -2,11 +2,12 @@
 // Oracles run in their lenient forms where admission-order recording is only
 // happens-before-exact (see oracles.h).
 //
-// Every body runs as a supervised trial (runtime/supervisor.h) inside the fork()
-// sandbox: a genuinely wedged solution — the very deadlocks these workloads exist to
-// provoke — is SIGKILLed at the deadline instead of hanging the whole suite, and the
-// harvested live postmortem is printed with the failure. Where fork() is unavailable
-// the supervisor transparently falls back to the in-process reaper.
+// Every body runs as a supervised trial (runtime/supervisor.h), so in the fork()
+// sandbox, on the same std::mutex/gate protocol the benchmarks measure: a genuinely
+// wedged solution — the very deadlocks these workloads exist to provoke — is
+// SIGKILLed at the deadline instead of hanging the whole suite, and the harvested live
+// postmortem is printed with the failure. Where fork() does not exist the body runs
+// in-process with no deadline.
 
 #include <functional>
 #include <memory>
@@ -27,13 +28,19 @@
 namespace syneval {
 namespace {
 
-// Runs `body` under the trial supervisor's fork sandbox. The deadline is deliberately
-// generous — these are throughput stress workloads on loaded CI runners, and a false
-// reap would convert a pass into a flake; the deadline exists to catch genuine
-// deadlocks, which never finish at any budget.
-void RunSandboxed(const std::function<std::string(OsRuntime&)>& body) {
+// Which oracle verdicts a stress test accepts; most accept only a pass.
+using AcceptedVerdicts = std::function<bool(const std::string&)>;
+
+bool OnlyPass(const std::string& verdict) { return verdict.empty(); }
+
+// Runs `body` under the trial supervisor and expects a verdict `accepted` allows. The
+// deadline is deliberately generous — these are throughput
+// stress workloads on loaded CI runners, and a false reap would convert a pass into a
+// flake; the deadline exists to catch genuine deadlocks, which never finish at any
+// budget.
+void RunSandboxed(const std::function<std::string(OsRuntime&)>& body,
+                  const AcceptedVerdicts& accepted = OnlyPass) {
   SupervisorOptions options;
-  options.sandbox = true;
   options.trial_deadline = std::chrono::milliseconds(120000);
   options.max_attempts = 1;  // A catastrophic stress body is a bug, not a flake.
   SupervisorStats stats;
@@ -44,7 +51,8 @@ void RunSandboxed(const std::function<std::string(OsRuntime&)>& body) {
       << (result.reaped ? "trial reaped at deadline" : "trial crashed: " + result.crash.what)
       << (result.crash.postmortem.empty() ? "" : "\n" + result.crash.postmortem)
       << (result.report.postmortem.empty() ? "" : "\n" + result.report.postmortem);
-  EXPECT_EQ(result.report.message, "") << result.report.postmortem;
+  EXPECT_TRUE(accepted(result.report.message))
+      << result.report.message << "\n" << result.report.postmortem;
 }
 
 BufferWorkloadParams BigBufferWorkload() {
@@ -73,7 +81,8 @@ TEST(OsStressTest, PathBoundedBuffer) { StressBoundedBuffer<PathBoundedBuffer>()
 TEST(OsStressTest, SerializerBoundedBuffer) { StressBoundedBuffer<SerializerBoundedBuffer>(); }
 
 template <typename Rw>
-void StressReadersWriters(RwPolicy policy, RwStrictness strictness) {
+void StressReadersWriters(RwPolicy policy, RwStrictness strictness,
+                          const AcceptedVerdicts& accepted = OnlyPass) {
   RunSandboxed([policy, strictness](OsRuntime& rt) {
     TraceRecorder trace;
     Rw rw(rt);
@@ -88,7 +97,7 @@ void StressReadersWriters(RwPolicy policy, RwStrictness strictness) {
     ThreadList threads = SpawnReadersWritersWorkload(rt, rw, trace, params);
     JoinAll(threads);
     return CheckReadersWriters(trace.Events(), policy, 1000, strictness);
-  });
+  }, accepted);
 }
 
 TEST(OsStressTest, MonitorReadersPriority) {
@@ -114,9 +123,20 @@ TEST(OsStressTest, SerializerFcfs) {
   StressReadersWriters<SerializerRwFcfs>(RwPolicy::kFcfs, RwStrictness::kStrict);
 }
 
+// CHP algorithm 1 on weak semaphores does not guarantee readers priority: a V on w_
+// may wake a later writer before an earlier reader. The case catalogue expects exactly
+// that inversion on some schedules (solutions/cases.cc, EXPERIMENTS.md's ledger), so
+// a run may end with it. CheckReadersWriters reports a writer overlap before any
+// priority finding, so exclusion holds on every accepted run; any other verdict, a
+// reap or a crash still fails.
 TEST(OsStressTest, SemaphoreReadersPriorityLenient) {
-  StressReadersWriters<SemaphoreRwReadersPriority>(RwPolicy::kReadersPriority,
-                                                   RwStrictness::kArrivalOrder);
+  StressReadersWriters<SemaphoreRwReadersPriority>(
+      RwPolicy::kReadersPriority, RwStrictness::kArrivalOrder, [](const std::string& verdict) {
+        return verdict.empty() ||
+               verdict.rfind("readers-priority violated: writer overtook an earlier-arrived "
+                             "reader",
+                             0) == 0;
+      });
 }
 
 template <typename Scheduler>

@@ -2,7 +2,6 @@
 // schedule strategies, and interleaving exploration. OsRuntime: threading and the
 // condition-variable contract (handoffs, broadcast, timed waits, abort wakes).
 
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -554,47 +553,6 @@ TEST(OsRuntimeTest, WaitForReportsDeadlineAndNotification) {
   waiter->Join();
   EXPECT_TRUE(notified);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
-}
-
-TEST(OsRuntimeTest, RequestAbortWakesUntimedWaitWithoutPolling) {
-  // A poll interval far beyond the bound below: only a direct wake can meet it.
-  OsRuntime::Options options;
-  options.abortable = true;
-  options.abort_poll = std::chrono::seconds(10);
-  OsRuntime rt(options);
-  auto mu = rt.CreateMutex();
-  auto cv = rt.CreateCondVar();
-  std::atomic<bool> parked{false};
-  std::atomic<bool> unwound{false};
-  struct SetOnExit {
-    std::atomic<bool>& flag;
-    ~SetOnExit() { flag.store(true); }
-  };
-  auto sleeper = rt.StartThread("sleeper", [&] {
-    SetOnExit on_exit{unwound};
-    RtLock lock(*mu);
-    parked.store(true);
-    for (;;) {
-      cv->Wait(*mu);  // Never notified: only the abort's TrialAborted ends this.
-    }
-  });
-  while (!parked.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Give the sleeper time to pass Unlock and fall asleep on its gate, so the abort
-  // below has to wake it rather than being seen before the sleep.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const auto start = std::chrono::steady_clock::now();
-  rt.RequestAbort();
-  while (!unwound.load() && std::chrono::steady_clock::now() - start < std::chrono::seconds(1)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const bool unwound_in_time = unwound.load();
-  if (!unwound_in_time) {
-    cv->NotifyAll();  // The abort's wake was lost: end the sleep so the test fails, not hangs.
-  }
-  sleeper->Join();
-  EXPECT_TRUE(unwound_in_time);
 }
 
 // Exact totals through a bounded queue; producers and consumers alternate between

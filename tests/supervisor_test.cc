@@ -5,11 +5,10 @@
 // supervised by their fold alone: no deadline touches them, and a quarantined row's
 // verdict survives a resume, SIGKILL included.
 //
-// The reaper tests run real OsRuntime threads and are kept in the tier-1 (fast) set
-// deliberately: they must stay TSan-clean, so the sanitizer CI configs exercise the
-// reaper/trial races. Only the fork()-sandbox tests are gated off sanitized builds.
+// Every supervised attempt runs in a fork()ed child, so these tests fork real
+// OsRuntime trials; they stay in the tier-1 (fast) set and run in the sanitizer CI
+// configs too.
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -37,11 +36,14 @@
 #include <unistd.h>
 #endif
 
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define SYNEVAL_SANITIZED 1
+// The ASan/UBSan build: there UBSan reports a null store itself and, with
+// halt_on_error=1 (as CI runs it), ends the process with exit status 1 before any
+// SIGSEGV is raised.
+#if defined(__SANITIZE_ADDRESS__)
+#define SYNEVAL_ASAN_UBSAN_BUILD 1
 #elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define SYNEVAL_SANITIZED 1
+#if __has_feature(address_sanitizer)
+#define SYNEVAL_ASAN_UBSAN_BUILD 1
 #endif
 #endif
 
@@ -51,8 +53,8 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-// A body that parks the driving thread on a never-signalled condvar until the reaper
-// force-unwinds it (TrialAborted propagates out of Wait and out of the body).
+// A body that parks the driving thread on a never-signalled condvar until the
+// sandbox kills its child.
 std::string HangForever(OsRuntime& rt, std::uint64_t) {
   std::unique_ptr<RtMutex> mu = rt.CreateMutex();
   std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
@@ -62,8 +64,7 @@ std::string HangForever(OsRuntime& rt, std::uint64_t) {
   }
 }
 
-// A hang with managed threads parked too: the reaper must unwind all of them, and
-// JoinAll-style cleanup must not deadlock during the abort.
+// A hang with managed threads parked too: the kill must end all of them.
 std::string HangWithWorkers(OsRuntime& rt, std::uint64_t) {
   std::unique_ptr<RtMutex> mu = rt.CreateMutex();
   std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
@@ -77,7 +78,7 @@ std::string HangWithWorkers(OsRuntime& rt, std::uint64_t) {
     }));
   }
   for (auto& thread : threads) {
-    thread->Join();  // Never returns normally; unwinds when the reaper aborts.
+    thread->Join();  // Never returns: the child is killed here.
   }
   return "";
 }
@@ -98,6 +99,15 @@ SupervisedTrialResult RunOnce(std::function<std::string(OsRuntime&, std::uint64_
                            nullptr);
 }
 
+// Counts attempts across the sandbox's child processes, which share no memory with
+// the test: each call appends a byte to `path` and returns how many it held before.
+int CountAttempt(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const int before = in ? static_cast<int>(in.tellg()) : 0;
+  std::ofstream(path, std::ios::app) << 'x';
+  return before;
+}
+
 // ---- Gauge ----------------------------------------------------------------------------
 
 TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
@@ -112,18 +122,16 @@ TEST(ActiveTrialsTest, GaugeCountsScopesAndNeverReadsZero) {
 }
 
 // A running trial is registered once, by the sweep-pool worker that runs it; the
-// supervised attempt inside it adds nothing.
+// supervised attempt inside it adds nothing. The trial reports its reading as its
+// verdict, since it runs in a child process.
 TEST(ActiveTrialsTest, SupervisedCellCountsItsTrialOnce) {
-  auto seen = std::make_shared<std::atomic<int>>(0);
   const std::vector<SupervisedCell> cells = {
-      {"records-gauge",
-       MakeSupervisableOsTrial([seen](OsRuntime&, std::uint64_t) {
-         seen->store(ActiveTrials());
-         return std::string();
+      {"records-gauge", MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t) {
+         return std::to_string(ActiveTrials());
        })}};
   const SupervisedSweepReport report = SuperviseSweep(cells, 1, 1, FastOptions());
   ASSERT_EQ(report.cells[0].completed_seeds, 1);
-  EXPECT_EQ(seen->load(), 1);
+  EXPECT_EQ(report.cells[0].reports[0].message, "1");
 }
 
 // ---- Reaping --------------------------------------------------------------------------
@@ -141,7 +149,7 @@ TEST(SupervisorTest, HungTrialIsReapedWithinDeadline) {
   EXPECT_LT(elapsed, milliseconds(5000));
 }
 
-TEST(SupervisorTest, HungManagedThreadsAreUnwoundToo) {
+TEST(SupervisorTest, HungManagedThreadsAreKilledToo) {
   const SupervisedTrialResult result = RunOnce(HangWithWorkers);
   EXPECT_TRUE(result.reaped);
   EXPECT_NE(result.report.message.find("deadline"), std::string::npos);
@@ -150,8 +158,8 @@ TEST(SupervisorTest, HungManagedThreadsAreUnwoundToo) {
 TEST(SupervisorTest, ReapedTrialCarriesALivePostmortem) {
   const SupervisedTrialResult result = RunOnce(HangForever);
   ASSERT_TRUE(result.reaped);
-  // The reaper captured observe() just before aborting: the detector had a parked
-  // waiter to report, so the postmortem names the stuck wait.
+  // The child observed its trial once the deadline had passed, before the kill: the
+  // detector had a parked waiter to report, so the postmortem names the stuck wait.
   EXPECT_EQ(result.report.postmortem_cause, "stuck-waiter") << result.report.postmortem;
   EXPECT_NE(result.report.postmortem.find("stuck"), std::string::npos);
 }
@@ -164,6 +172,40 @@ TEST(SupervisorTest, HealthyTrialIsUntouchedByTheDeadline) {
   EXPECT_TRUE(result.report.Passed());
 }
 
+// A waiter parked for 60 ms, well past the 10 ms stuck-wait threshold the trial's
+// observe polls with, but inside the deadline. Nothing may observe the trial before
+// its deadline: an observe's Poll would count the wait as a stuck waiter in the
+// trial's own report.
+TEST(SupervisorTest, SlowHealthyTrialKeepsACleanReport) {
+  SupervisorOptions options;
+  options.max_attempts = 1;
+  const SupervisedTrialResult result = RunSupervisedSeed(
+      MakeSupervisableOsTrial([](OsRuntime& rt, std::uint64_t) {
+        std::unique_ptr<RtMutex> mu = rt.CreateMutex();
+        std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
+        bool ready = false;
+        std::unique_ptr<RtThread> signaller = rt.StartThread("signaller", [&] {
+          std::this_thread::sleep_for(milliseconds(60));
+          RtLock lock(*mu);
+          ready = true;
+          cv->NotifyOne();
+        });
+        {
+          std::unique_lock<RtMutex> lock(*mu);
+          while (!ready) {
+            cv->Wait(*mu);
+          }
+        }
+        signaller->Join();
+        return std::string();
+      }),
+      /*seed=*/1, options, nullptr);
+  EXPECT_FALSE(result.Catastrophic());
+  EXPECT_TRUE(result.report.Passed()) << result.report.message;
+  EXPECT_EQ(result.report.anomalies.total(), 0) << result.report.anomaly_report;
+  EXPECT_EQ(result.report.postmortem_cause, "") << result.report.postmortem;
+}
+
 TEST(SupervisorTest, ZeroDeadlineDisablesReaping) {
   // With no deadline the trial must complete on its own; use a body that finishes.
   SupervisorOptions options;
@@ -172,55 +214,6 @@ TEST(SupervisorTest, ZeroDeadlineDisablesReaping) {
       RunOnce([](OsRuntime&, std::uint64_t) { return std::string("verdict"); }, options);
   EXPECT_FALSE(result.reaped);
   EXPECT_EQ(result.report.message, "verdict");
-}
-
-// The trial registers its scope only after its set-up; a reap that lands before then
-// is remembered by the slot and delivered at registration.
-TEST(TrialAbortSlotTest, AbortBeforeRegistrationFiresOnRegister) {
-  TrialAbortSlot slot;
-  bool aborted_at_registration = false;
-  const TrialReapResult reap = RunWithTrialDeadline(slot, milliseconds(20), [&] {
-    const auto give_up = steady_clock::now() + milliseconds(5000);
-    while (!slot.aborted() && steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(milliseconds(1));
-    }
-    TrialAbortScope scope([&] { aborted_at_registration = true; },
-                          [] { return TrialObservation{}; });
-  });
-  EXPECT_TRUE(reap.reaped);
-  EXPECT_TRUE(aborted_at_registration);
-}
-
-// A body that waits for the abort, but gives up (and reports it) after 10 s — so a
-// lost abort shows up as a slow, failing trial instead of a hung test.
-std::string WaitForAbortOrGiveUp(OsRuntime& rt, std::uint64_t) {
-  std::unique_ptr<RtMutex> mu = rt.CreateMutex();
-  std::unique_ptr<RtCondVar> cv = rt.CreateCondVar();
-  std::unique_lock<RtMutex> lock(*mu);
-  const auto give_up = steady_clock::now() + milliseconds(10000);
-  while (steady_clock::now() < give_up) {
-    cv->WaitFor(*mu, 100'000'000);  // 100 ms
-  }
-  return "abort never arrived";
-}
-
-TEST(SupervisorTest, ReapBeforeTheTrialRegistersStillUnwindsIt) {
-  // The set-up outlasts the 150 ms deadline, so the reaper fires while the slot is
-  // still empty; the OsRuntime trial must take the abort when it registers.
-  const SeededTrial os_trial = MakeSupervisableOsTrial(WaitForAbortOrGiveUp);
-  SupervisorOptions options = FastOptions();
-  const auto start = steady_clock::now();
-  const SupervisedTrialResult result = RunSupervisedSeed(
-      [&os_trial](std::uint64_t seed) {
-        std::this_thread::sleep_for(milliseconds(400));
-        return os_trial(seed);
-      },
-      /*seed=*/1, options, nullptr);
-  const auto elapsed = steady_clock::now() - start;
-  EXPECT_TRUE(result.reaped);
-  EXPECT_NE(result.report.message.find("reaped"), std::string::npos)
-      << result.report.message;
-  EXPECT_LT(elapsed, milliseconds(5000));
 }
 
 // ---- Crash capture --------------------------------------------------------------------
@@ -248,13 +241,14 @@ TEST(SupervisorTest, OracleFailureIsAResultNotACrash) {
 // ---- Retries --------------------------------------------------------------------------
 
 TEST(SupervisorTest, CatastrophicAttemptsAreRetriedUntilOneSucceeds) {
-  auto attempts = std::make_shared<std::atomic<int>>(0);
+  const std::string attempts = testing::TempDir() + "/retried_attempts";
+  std::remove(attempts.c_str());
   SupervisorOptions options = FastOptions();
   options.max_attempts = 3;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
       MakeSupervisableOsTrial([attempts](OsRuntime&, std::uint64_t) -> std::string {
-        if (attempts->fetch_add(1) < 2) {
+        if (CountAttempt(attempts) < 2) {
           throw std::runtime_error("flaky crash");
         }
         return "";
@@ -265,22 +259,25 @@ TEST(SupervisorTest, CatastrophicAttemptsAreRetriedUntilOneSucceeds) {
   EXPECT_EQ(stats.crashed, 2);
   EXPECT_EQ(stats.retried, 2);
   EXPECT_TRUE(result.report.Passed());
+  std::remove(attempts.c_str());
 }
 
 TEST(SupervisorTest, OracleFailuresAreNeverRetried) {
-  auto attempts = std::make_shared<std::atomic<int>>(0);
+  const std::string attempts = testing::TempDir() + "/oracle_failure_attempts";
+  std::remove(attempts.c_str());
   SupervisorOptions options = FastOptions();
   options.max_attempts = 5;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
       MakeSupervisableOsTrial([attempts](OsRuntime&, std::uint64_t) {
-        attempts->fetch_add(1);
+        CountAttempt(attempts);
         return std::string("legitimate oracle failure");
       }),
       /*seed=*/1, options, &stats);
-  EXPECT_EQ(attempts->load(), 1);
+  EXPECT_EQ(CountAttempt(attempts), 1);
   EXPECT_EQ(stats.retried, 0);
   EXPECT_FALSE(result.Catastrophic());
+  std::remove(attempts.c_str());
 }
 
 // ---- Quarantine and the acceptance scenario -------------------------------------------
@@ -343,7 +340,7 @@ TEST(SupervisorTest, SweepWithHungAndCrashingCellsKeepsHealthyOutcomesBitIdentic
   EXPECT_TRUE(report.cells[3].quarantined);
   EXPECT_GE(report.totals.reaped, 2);
   EXPECT_GE(report.totals.crashed, 2);
-  // Quarantine bounded the damage: 2 reaps at 100ms each, not 200 hung seeds.
+  // Quarantine bounded the damage: 2 kills at 100ms each, not 200 hung seeds.
   EXPECT_LT(elapsed, milliseconds(30000));
 
   const SweepOutcome merged = report.MergedHealthyOutcome();
@@ -620,7 +617,7 @@ TEST(SupervisedChaosTest, RestoredQuarantinedRowKeepsItsVerdict) {
   std::remove(path.c_str());
 }
 
-#if (defined(__unix__) || defined(__APPLE__)) && !defined(SYNEVAL_SANITIZED)
+#if defined(__unix__) || defined(__APPLE__)
 // The same row SIGKILLed mid-sweep and resumed: the resumed verdict equals an
 // uninterrupted sweep's.
 TEST(SupervisedChaosTest, SigkilledQuarantinedRowResumesWithItsVerdict) {
@@ -664,9 +661,9 @@ TEST(SupervisedChaosTest, SigkilledQuarantinedRowResumesWithItsVerdict) {
 
 // ---- Process sandbox (fork) -----------------------------------------------------------
 
+#if !defined(SYNEVAL_ASAN_UBSAN_BUILD)
 TEST(SupervisorSandboxTest, SegfaultingChildBecomesStructuredCrash) {
   SupervisorOptions options = FastOptions();
-  options.sandbox = true;
   options.trial_deadline = milliseconds(2000);
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
@@ -681,10 +678,10 @@ TEST(SupervisorSandboxTest, SegfaultingChildBecomesStructuredCrash) {
   EXPECT_NE(result.crash.what.find("SIGSEGV"), std::string::npos) << result.crash.what;
   EXPECT_EQ(stats.crashed, 1);
 }
+#endif  // !SYNEVAL_ASAN_UBSAN_BUILD
 
 TEST(SupervisorSandboxTest, HungChildIsKilledAtTheDeadline) {
   SupervisorOptions options = FastOptions();
-  options.sandbox = true;
   options.trial_deadline = milliseconds(300);
   SupervisorStats stats;
   const auto start = steady_clock::now();
@@ -694,14 +691,13 @@ TEST(SupervisorSandboxTest, HungChildIsKilledAtTheDeadline) {
   EXPECT_TRUE(result.reaped);
   EXPECT_EQ(stats.reaped, 1);
   EXPECT_LT(elapsed, milliseconds(10000));
-  // The heartbeat publisher kept the shared-memory ring fresh: the harvested
-  // postmortem explains the stuck wait even though the child died by SIGKILL.
+  // The child published its post-deadline observe into the shared-memory ring: the
+  // harvested postmortem explains the stuck wait even though the child died by SIGKILL.
   EXPECT_EQ(result.report.postmortem_cause, "stuck-waiter") << result.report.postmortem;
 }
 
 TEST(SupervisorSandboxTest, CleanChildReportRoundTripsThroughSharedMemory) {
   SupervisorOptions options = FastOptions();
-  options.sandbox = true;
   SupervisorStats stats;
   const SupervisedTrialResult result = RunSupervisedSeed(
       MakeSupervisableOsTrial([](OsRuntime&, std::uint64_t seed) {
@@ -711,7 +707,7 @@ TEST(SupervisorSandboxTest, CleanChildReportRoundTripsThroughSharedMemory) {
   EXPECT_FALSE(result.Catastrophic());
   EXPECT_EQ(result.report.message, "verdict for seed 7");
 }
-#endif  // POSIX && !SYNEVAL_SANITIZED
+#endif  // POSIX
 
 }  // namespace
 }  // namespace syneval
