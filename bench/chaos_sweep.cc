@@ -9,8 +9,8 @@
 // the seed range: CI diffs the --json output against tests/golden/chaos_calibration.json
 // and this binary exits non-zero when a calibration gate fails (recall below 100% on
 // any lost-signal row with harmful runs — every footnote-2 problem family is gated —
-// any false positive anywhere, or — with telemetry compiled in — a postmortem naming
-// a cause other than the injected fault family).
+// any false positive anywhere, or a postmortem naming a cause other than the injected
+// fault family).
 //
 // --trace=<path> replays the first flagged trial with the tracer attached and exports
 // a Perfetto trace with the postmortem narrative overlaid as a "postmortem" track.
@@ -35,7 +35,6 @@
 #include "syneval/fault/chaos.h"
 #include "syneval/runtime/checkpoint.h"
 #include "syneval/telemetry/perfetto.h"
-#include "syneval/telemetry/telemetry.h"
 #include "syneval/telemetry/tracer.h"
 
 namespace {
@@ -206,12 +205,9 @@ int main(int argc, char** argv) {
                   o.clean_failures);
       gate_failed = true;
     }
-#if SYNEVAL_TELEMETRY_ENABLED
-    // Postmortem recall gate: with the flight recorder compiled in, every flagged
-    // fault-on run must explain itself with the injected family as the named cause
-    // (an empty cause means a flagged run yielded no narrative at all). Without
-    // telemetry the recorder seam is compiled out and causes degrade to the detector's
-    // anomaly classification, so the gate only applies to telemetry-enabled builds.
+    // Postmortem recall gate: every flagged fault-on run must explain itself with the
+    // injected family as the named cause (an empty cause means a flagged run yielded
+    // no narrative at all).
     if (cause_matched != cause_total) {
       std::printf("  GATE: %d/%d postmortem cause(s) did not name the injected family\n",
                   cause_total - cause_matched, cause_total);
@@ -223,7 +219,6 @@ int main(int argc, char** argv) {
       }
       gate_failed = true;
     }
-#endif
   }
 
   std::printf("\nworst recall over harmful rows: %.2f; total false positives: %d\n",

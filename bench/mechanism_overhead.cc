@@ -111,11 +111,6 @@ void PrintRegistryProfile(const MetricsRegistry& registry) {
                     ratio,
                     std::to_string(stats->queue_depth.Max())});
   }
-  if (rows.empty()) {
-    std::printf("(telemetry compiled out: build with -DSYNEVAL_TELEMETRY=ON for the\n"
-                " per-mechanism contention profile)\n");
-    return;
-  }
   std::printf("%s\n",
               RenderTable({"mechanism", "admissions", "wait p50 ns", "wait p99 ns",
                            "hold p50 ns", "hold p99 ns", "signals", "wakeups/adm",

@@ -699,11 +699,6 @@ DporCellResult ExploreCell(const DporCell& cell, const DporOptions& options) {
   result.problem = cell.problem;
   result.display = cell.display;
   result.seeded_bug = cell.seeded_bug;
-#if !SYNEVAL_TELEMETRY_ENABLED
-  result.verdict = DporVerdict::kBoundExceeded;
-  result.note = "telemetry disabled: no flight footprints, exploration skipped";
-  return result;
-#else
   const ExploreStats stats =
       Explore(cell, options, /*reduced=*/true, options.max_executions);
   result.executions = stats.executions;
@@ -736,7 +731,6 @@ DporCellResult ExploreCell(const DporCell& cell, const DporOptions& options) {
     result.note = stats.note.empty() ? "execution budget exhausted" : stats.note;
   }
   return result;
-#endif
 }
 
 DporSuiteResult ExploreDporSuite(const std::vector<DporCell>& suite,

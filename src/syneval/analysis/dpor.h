@@ -132,7 +132,7 @@ struct DporCellResult {
   std::uint64_t certified_wakeups = 0;  // HB-matched notified wakes, all runs.
   std::uint64_t hb_joins = 0;           // HB edges applied, all runs.
 
-  std::string note;  // Degradations (telemetry off, eviction, divergence).
+  std::string note;  // Degradations (eviction, divergence).
   bool has_counterexample = false;
   DporCounterexample counterexample;
 };

@@ -435,7 +435,6 @@ void WriteDporCrossTabSection(std::ostream& out, const ParallelOptions& parallel
 
 void WriteTelemetryProfileSection(std::ostream& out, int workload_scale) {
   out << "## 9. Contention telemetry (self-reported)\n\n";
-#if SYNEVAL_TELEMETRY_ENABLED
   MetricsRegistry registry;
   OsRuntime rt;
   rt.AttachMetrics(&registry);
@@ -502,11 +501,6 @@ void WriteTelemetryProfileSection(std::ostream& out, int workload_scale) {
               std::to_string(stats->queue_depth.Max())});
   }
   out << "\n";
-#else
-  out << "Telemetry is compiled out in this build (`SYNEVAL_TELEMETRY=OFF`); rebuild "
-         "with the default `SYNEVAL_TELEMETRY=ON` to get the per-mechanism contention "
-         "profile here.\n\n";
-#endif
 }
 
 }  // namespace syneval

@@ -39,8 +39,7 @@ void WriteStaticAnalysisSection(std::ostream& out,
 // OsRuntime with a metrics registry attached, then writes the per-mechanism contention
 // profile (wait/hold percentiles, signals, wakeups per admission, max queue depth) as a
 // markdown table — the quantities the mechanisms record about themselves. Included in
-// WriteEvaluationReport as its own section; writes a one-line note instead when the
-// build has SYNEVAL_TELEMETRY=OFF.
+// WriteEvaluationReport as its own section.
 void WriteTelemetryProfileSection(std::ostream& out, int workload_scale = 1);
 
 // Runs the chaos calibration grid (syneval/fault/chaos.h): every footnote-2 problem ×

@@ -650,8 +650,7 @@ DetRuntime::RunResult DetRuntime::Run() {
     // aborting state to the detector first — teardown unwinding (and any faults still
     // firing during it) must not be observed, or kill-during-teardown plans would be
     // double-counted as lost wakeups on top of the diagnosis above. The flight recorder
-    // is frozen for the same reason: the unwind replays exit events in OS-scheduling
-    // order, which would put a nondeterministic tail on the postmortem's event window.
+    // is frozen so the postmortem's event window ends where the schedule stopped.
     if (AnomalyDetector* det = anomaly_detector()) {
       det->SetAborting(true);
     }
@@ -659,20 +658,18 @@ DetRuntime::RunResult DetRuntime::Run() {
       flight->Freeze();
     }
     abort_ = true;
-    for (auto& tcb : threads_) {
-      if (tcb->state != kFinished) {
-        tcb->token = true;
+    // Unwind one thread at a time, in creation order: each records its exit events
+    // into the trace before the next starts, so a hung run's trace ends the same way
+    // on every replay. Indexed, since an unwinding thread may still append a TCB.
+    for (std::size_t i = 0; i < threads_.size(); ++i) {
+      Tcb* unwinding = threads_[i].get();
+      if (unwinding->state == kFinished) {
+        continue;
       }
+      unwinding->token = true;
+      cv_.notify_all();
+      cv_.wait(lock, [unwinding] { return unwinding->state == kFinished; });
     }
-    cv_.notify_all();
-    cv_.wait(lock, [&] {
-      for (auto& tcb : threads_) {
-        if (tcb->state != kFinished) {
-          return false;
-        }
-      }
-      return true;
-    });
   }
   running_ = false;
   result.steps = step_;

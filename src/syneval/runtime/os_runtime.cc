@@ -422,12 +422,10 @@ void OsRuntime::StartAnomalyWatchdog(WatchdogOptions options) {
       // periodic behaviour under observation (injected fixed-length stalls above all).
       const std::chrono::nanoseconds period =
           JitterPeriod(base_period, options.jitter_fraction, jitter_rng);
-#if SYNEVAL_TELEMETRY_ENABLED
       if (MetricsRegistry* metrics = this->metrics()) {
         metrics->GetGauge("anomaly/watchdog_period_ms")
             .Set(std::chrono::duration_cast<std::chrono::milliseconds>(period).count());
       }
-#endif
       // One absolute deadline per cycle: stray notifies cannot stretch the sleep.
       const Deadline deadline = Deadline::After(period);
       watchdog_cv_.wait_until(lock, deadline.time_point(), [this] { return watchdog_stop_; });
@@ -447,7 +445,6 @@ void OsRuntime::StartAnomalyWatchdog(WatchdogOptions options) {
       if (flagged > 0) {
         WriteWatchdogPostmortem(this, det);
       }
-#if SYNEVAL_TELEMETRY_ENABLED
       // Watchdog findings are visible continuously through the registry, not only in
       // anomaly reports: current blocked-thread count, the oldest wait's age, and the
       // running total of detections.
@@ -465,7 +462,6 @@ void OsRuntime::StartAnomalyWatchdog(WatchdogOptions options) {
               .Set(static_cast<std::int64_t>(flight->evicted()));
         }
       }
-#endif
       lock.lock();
     }
   });

@@ -23,8 +23,6 @@
 #include <memory>
 #include <string>
 
-#include "syneval/telemetry/telemetry.h"
-
 namespace syneval {
 
 class AnomalyDetector;
@@ -139,7 +137,6 @@ class Runtime {
   void AttachFaultInjector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return fault_injector_; }
 
-#if SYNEVAL_TELEMETRY_ENABLED
   // Attaches a metrics registry (see syneval/telemetry/metrics.h). Like the anomaly
   // detector, it must be attached before mechanisms are constructed from this runtime
   // (mechanisms resolve their MechanismStats bundle once, at construction).
@@ -166,21 +163,6 @@ class Runtime {
   TelemetryTracer* tracer_ = nullptr;
   FlightRecorder* flight_recorder_ = nullptr;
 };
-#else
-  // Telemetry compiled out (SYNEVAL_TELEMETRY=OFF): attachment is a no-op and the
-  // accessors are constant null, so instrumentation branches fold away entirely.
-  void AttachMetrics(MetricsRegistry*) {}
-  static constexpr MetricsRegistry* metrics() { return nullptr; }
-  void AttachTracer(TelemetryTracer*) {}
-  static constexpr TelemetryTracer* tracer() { return nullptr; }
-  void AttachFlightRecorder(FlightRecorder*) {}
-  static constexpr FlightRecorder* flight_recorder() { return nullptr; }
-
- private:
-  AnomalyDetector* anomaly_detector_ = nullptr;
-  FaultInjector* fault_injector_ = nullptr;
-};
-#endif
 
 // RAII lock holder for RtMutex (equivalent to std::lock_guard, kept for symmetry with
 // the mechanism code which passes RtMutex by reference).

@@ -29,6 +29,7 @@
 #include <new>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -161,7 +162,6 @@ namespace {
 
 #if SYNEVAL_SANDBOX_AVAILABLE
 
-constexpr std::uint32_t kShmSlots = 4;
 constexpr std::size_t kShmCauseCap = 64;
 constexpr std::size_t kShmTextCap = 8192;
 constexpr std::size_t kShmWhatCap = 256;
@@ -174,11 +174,10 @@ enum : std::uint32_t { kShmRunning = 0, kShmDone = 1, kShmCrashed = 2 };
 // build: microseconds to milliseconds, unless the child is wedged too hard to run it.
 constexpr std::chrono::milliseconds kObserveGrace{1000};
 
-// One postmortem snapshot, guarded by a per-slot seqlock (odd while the child is
-// writing). Each publish takes the next slot; the parent harvests the newest slot
-// whose sequence reads even and stable — a consistent snapshot even when the child is
-// wedged or freshly SIGKILLed mid-write.
-struct ShmPostmortemSlot {
+// The child's one post-deadline postmortem, guarded by a seqlock (odd while the child
+// is writing, 0 until it publishes). The parent takes it only when the sequence reads
+// even, non-zero and stable, so a child SIGKILLed mid-write reads as "no postmortem".
+struct ShmPostmortem {
   std::atomic<std::uint32_t> seq;
   char cause[kShmCauseCap];
   char text[kShmTextCap];
@@ -186,13 +185,12 @@ struct ShmPostmortemSlot {
 
 struct ShmBlock {
   std::atomic<std::uint32_t> state;  // kShmRunning / kShmDone / kShmCrashed.
-  std::atomic<std::uint32_t> observed;   // 1 once the child's post-deadline observe ran.
-  std::atomic<std::uint32_t> pm_cursor;  // Next slot index (monotonic).
+  std::atomic<std::uint32_t> observed;  // 1 once the child's post-deadline observe ran.
   std::int32_t signal_number;
   char what[kShmWhatCap];
   std::uint32_t report_size;
   char report[kShmReportCap];  // EncodeTrialReport payload.
-  ShmPostmortemSlot slots[kShmSlots];
+  ShmPostmortem postmortem;
 };
 
 static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
@@ -230,44 +228,39 @@ extern "C" void SandboxCrashHandler(int sig) {
     std::memcpy(block->what, what, sizeof(what));
     block->state.store(kShmCrashed, std::memory_order_release);
   }
-  _exit(128 + sig);
+  // Die of the signal itself rather than _exit: an exit with the observer thread
+  // still alive would sleep a second under TSan before the parent saw the crash.
+  signal(sig, SIG_DFL);
+  raise(sig);
 }
 
 void SandboxPublishPostmortem(ShmBlock* block, const TrialObservation& observation) {
   if (observation.text.empty()) {
     return;
   }
-  const std::uint32_t cursor =
-      block->pm_cursor.fetch_add(1, std::memory_order_relaxed);
-  ShmPostmortemSlot& slot = block->slots[cursor % kShmSlots];
-  const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(seq + 1, std::memory_order_relaxed);  // Odd: write in progress.
+  ShmPostmortem& pm = block->postmortem;
+  pm.seq.store(1, std::memory_order_relaxed);  // Odd: write in progress.
   std::atomic_thread_fence(std::memory_order_release);
-  ShmCopyString(slot.cause, kShmCauseCap, observation.cause);
-  ShmCopyString(slot.text, kShmTextCap, observation.text);
-  slot.seq.store(seq + 2, std::memory_order_release);
+  ShmCopyString(pm.cause, kShmCauseCap, observation.cause);
+  ShmCopyString(pm.text, kShmTextCap, observation.text);
+  pm.seq.store(2, std::memory_order_release);
 }
 
-// Newest consistent snapshot in the ring ("" cause/text when none was published).
+// The published postmortem ("" cause/text when none was published whole).
 TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
-  TrialObservation best;
-  std::uint32_t best_seq = 0;
-  for (const ShmPostmortemSlot& slot : block->slots) {
-    const std::uint32_t before = slot.seq.load(std::memory_order_acquire);
-    if (before == 0 || (before & 1u) != 0 || before < best_seq) {
-      continue;
-    }
-    TrialObservation candidate;
-    candidate.cause = slot.cause;
-    candidate.text = slot.text;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != before) {
-      continue;  // Torn by a concurrent write; an older slot is still consistent.
-    }
-    best_seq = before;
-    best = std::move(candidate);
+  const ShmPostmortem& pm = block->postmortem;
+  const std::uint32_t before = pm.seq.load(std::memory_order_acquire);
+  if (before == 0 || (before & 1u) != 0) {
+    return {};
   }
-  return best;
+  TrialObservation observation;
+  observation.cause = pm.cause;
+  observation.text = pm.text;
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (pm.seq.load(std::memory_order_relaxed) != before) {
+    return {};
+  }
+  return observation;
 }
 
 // Child-side body; never returns. Everything the trial does — constructor included —
@@ -279,6 +272,9 @@ TrialObservation SandboxHarvestPostmortem(const ShmBlock* block) {
 [[noreturn]] void RunSandboxChild(ShmBlock* block, const SeededTrial& trial,
                                   std::uint64_t seed, const Deadline* deadline) {
   g_sandbox_block = block;
+  // The crash handler re-raises its signal; an expected crash leaves no core file.
+  const struct rlimit no_core {0, 0};
+  setrlimit(RLIMIT_CORE, &no_core);
   struct sigaction action {};
   action.sa_handler = SandboxCrashHandler;
   sigemptyset(&action.sa_mask);

@@ -15,8 +15,8 @@
 //     flight-recorder postmortem), so a hung trial can explain itself.
 //   * The reaper. Every attempt runs in a fork()ed child process (POSIX). Once the
 //     deadline has passed the child observes its trial once and publishes the
-//     postmortem into a shared-memory ring (per-slot seqlock, so the parent can
-//     harvest a consistent snapshot from a wedged child); the parent waits a bounded
+//     postmortem into one seqlocked shared-memory slot (so the parent never reads a
+//     half-written snapshot from a wedged child); the parent waits a bounded
 //     grace for that, then SIGKILLs the child — a reap no trial can refuse.
 //     SIGSEGV / SIGABRT / SIGBUS / SIGFPE / SIGILL / std::terminate / escaping
 //     exceptions become a structured TrialCrash record in shared memory. Where fork()

@@ -27,8 +27,8 @@
 // mutex — never the recording path.
 //
 // The recorder attaches through the Runtime telemetry seam
-// (Runtime::AttachFlightRecorder) and every instrumentation site compiles out under
-// -DSYNEVAL_TELEMETRY=OFF exactly like the metrics/tracer sites.
+// (Runtime::AttachFlightRecorder); like the metrics/tracer sites, every instrumentation
+// site is one null check on the attachment when no recorder is attached.
 
 #ifndef SYNEVAL_TELEMETRY_FLIGHT_RECORDER_H_
 #define SYNEVAL_TELEMETRY_FLIGHT_RECORDER_H_
@@ -43,7 +43,6 @@
 #include <string_view>
 #include <vector>
 
-#include "syneval/telemetry/telemetry.h"
 #include "syneval/trace/recorder.h"
 
 namespace syneval {

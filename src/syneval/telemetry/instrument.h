@@ -2,9 +2,7 @@
 //
 // Every mechanism resolves its MechanismStats bundle once at construction and then
 // calls these helpers at its admission/release points. All helpers are null-tolerant:
-// with no registry attached they cost one predictable branch, and with telemetry
-// compiled out (SYNEVAL_TELEMETRY=OFF) Runtime::metrics() is constant null, so the
-// whole instrumentation — including the NowNanos clock reads — is dead code.
+// with no registry attached they cost one predictable branch and read no clock.
 //
 // Timestamp convention: MechanismStats histograms are recorded in Runtime::NowNanos
 // units — wall nanoseconds under OsRuntime, logical steps × 1000 under DetRuntime
@@ -20,7 +18,7 @@
 
 namespace syneval {
 
-// The bundle for `name`, or null when no registry is attached (or telemetry is off).
+// The bundle for `name`, or null when no registry is attached.
 inline MechanismStats* MechanismTelemetry(Runtime& runtime, const char* name) {
   if (MetricsRegistry* metrics = runtime.metrics()) {
     return &metrics->ForMechanism(name);

@@ -26,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "syneval/telemetry/telemetry.h"
-
 namespace syneval {
 
 // Monotonic counter. Adds go to one of kShards cache-line-sized slots chosen per

@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "syneval/telemetry/telemetry.h"
-
 namespace syneval {
 
 class TelemetryTracer {

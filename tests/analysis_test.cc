@@ -247,8 +247,8 @@ TEST(AnalyzeRegistryTest, GoldenVerdictsForFootnote2Problems) {
   // with a static model. `disk-fcfs` is the path-expression disk variant (SCAN is
   // inexpressible, the paper's own negative result). Any change here is a semantic
   // change to the analyzer or to a solution and must be reviewed, not re-pinned
-  // casually — these strings are also what tests/golden/static_verdicts.json and the
-  // static-verdicts CI job guard.
+  // casually — these strings are also what tests/golden/static_verdicts.json and its
+  // contract_static ctest entry guard.
   const GoldenVerdict golden[] = {
       {"monitor", "bounded-buffer", "Hoare bounded buffer monitor", "lint-clean (hoare)"},
       {"monitor", "one-slot-buffer", "One-slot buffer monitor", "lint-clean (hoare)"},

@@ -198,7 +198,6 @@ TEST(DporExplorerTest, CcrOneSlotBufferIsProvedWithReduction) {
   const DporCell* cell = FindCell(suite, "CCR one-slot buffer");
   ASSERT_NE(cell, nullptr);
   const DporCellResult result = ExploreCell(*cell, FastOptions());
-#if SYNEVAL_TELEMETRY_ENABLED
   EXPECT_EQ(result.verdict, DporVerdict::kProvedDeadlockFree) << result.note;
   // The proof is exhaustive: the reduced tree is fully visited, and the naive
   // baseline visits strictly more interleavings for the same guarantee.
@@ -206,14 +205,7 @@ TEST(DporExplorerTest, CcrOneSlotBufferIsProvedWithReduction) {
   EXPECT_GT(result.reduction_ratio, 1.0);
   EXPECT_TRUE(result.naive_complete);
   EXPECT_GT(result.certified_wakeups + result.hb_joins, 0u);
-#else
-  // Without telemetry there are no flight footprints; the explorer must degrade to
-  // bound_exceeded rather than claim a proof it cannot certify.
-  EXPECT_EQ(result.verdict, DporVerdict::kBoundExceeded);
-#endif
 }
-
-#if SYNEVAL_TELEMETRY_ENABLED
 
 TEST(DporExplorerTest, OrderedDiningIsProvedDeadlockFree) {
   const std::vector<DporCell> suite = BuildDporSuite();
@@ -312,8 +304,6 @@ TEST(DporSuiteTest, ParallelSuiteMatchesSerialPerCellResults) {
     EXPECT_EQ(pooled.cells[i].transitions, serial.transitions) << subset[i].display;
   }
 }
-
-#endif  // SYNEVAL_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace syneval

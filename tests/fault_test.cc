@@ -343,7 +343,6 @@ TEST(FaultInjection, SpuriousWakeupIsAbsorbedAndNamedInTheTrace) {
   EXPECT_TRUE(result.completed) << result.report;
   EXPECT_TRUE(protocol.consumer_done);
   EXPECT_EQ(injector.CountOf(FaultKind::kSpuriousWakeup), 1);
-#if SYNEVAL_TELEMETRY_ENABLED
   bool traced = false;
   for (const TelemetryTracer::Record& record : tracer.Snapshot()) {
     if (record.type == TelemetryTracer::RecordType::kInstant &&
@@ -352,7 +351,6 @@ TEST(FaultInjection, SpuriousWakeupIsAbsorbedAndNamedInTheTrace) {
     }
   }
   EXPECT_TRUE(traced) << "injected fault not visible as a named trace event";
-#endif
 }
 
 TEST(FaultInjection, KillAfterAcquireLeavesMutexHeldForever) {
@@ -546,21 +544,17 @@ TEST(Watchdog, JitteredPeriodIsExportedAndBounded) {
   OsRuntime rt;
   AnomalyDetector detector;
   rt.AttachAnomalyDetector(&detector);
-#if SYNEVAL_TELEMETRY_ENABLED
   MetricsRegistry metrics;
   rt.AttachMetrics(&metrics);
-#endif
   OsRuntime::WatchdogOptions options;
   options.period = std::chrono::milliseconds(5);
   options.jitter_fraction = 0.2;
   rt.StartAnomalyWatchdog(options);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   rt.StopAnomalyWatchdog();
-#if SYNEVAL_TELEMETRY_ENABLED
   const std::int64_t period_ms = metrics.GetGauge("anomaly/watchdog_period_ms").Value();
   EXPECT_GE(period_ms, 4);  // 5 ms ± 20%.
   EXPECT_LE(period_ms, 6);
-#endif
 }
 
 // ---- Chaos sweep calibration -----------------------------------------------------------

@@ -392,7 +392,6 @@ TEST(PostmortemTest, ToJsonCarriesCauseNarrativeAndEvents) {
 // ---- Replay integration -----------------------------------------------------------------
 
 TEST(PostmortemTest, ChaosLostSignalReplayNamesTheInjectedFamily) {
-#if SYNEVAL_TELEMETRY_ENABLED
   // Monitor bounded buffer under drop-signal, the calibration's headline row: every
   // harmful seed must postmortem to "lost-signal" (the recall gate in chaos_sweep
   // asserts this over the whole sweep; one deterministic seed is enough here).
@@ -404,9 +403,37 @@ TEST(PostmortemTest, ChaosLostSignalReplayNamesTheInjectedFamily) {
   EXPECT_EQ(replay->postmortem.cause, "lost-signal") << replay->postmortem.ToText();
   EXPECT_EQ(replay->outcome.postmortem_cause, "lost-signal");
   EXPECT_FALSE(replay->events.empty());
-#else
-  GTEST_SKIP() << "flight-recorder fault mirroring is compiled out";
-#endif
+}
+
+// A hung run is a function of its schedule too. Seed 6 of the readers-priority
+// monitor under lost-signal hangs with two readers still inside; teardown unwinds its
+// threads one at a time in creation order, so every replay ends its trace with the
+// same exit events in the same order.
+TEST(PostmortemTest, HungChaosReplayTraceIsIdenticalOnEveryReplay) {
+  const std::optional<ChaosReplayResult> first =
+      ReplayChaosTrial("rw-readers-priority", Mechanism::kMonitor, "lost-signal",
+                       /*seed=*/6);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_FALSE(first->outcome.completed);
+  ASSERT_FALSE(first->events.empty());
+  for (int replay = 0; replay < 20; ++replay) {
+    SCOPED_TRACE("replay " + std::to_string(replay));
+    const std::optional<ChaosReplayResult> again =
+        ReplayChaosTrial("rw-readers-priority", Mechanism::kMonitor, "lost-signal", 6);
+    ASSERT_TRUE(again.has_value());
+    ASSERT_EQ(again->events.size(), first->events.size());
+    for (std::size_t i = 0; i < first->events.size(); ++i) {
+      const Event& a = first->events[i];
+      const Event& b = again->events[i];
+      EXPECT_EQ(a.seq, b.seq) << i;
+      EXPECT_EQ(a.thread, b.thread) << i;
+      EXPECT_EQ(a.kind, b.kind) << i;
+      EXPECT_EQ(a.op, b.op) << i;
+      EXPECT_EQ(a.op_instance, b.op_instance) << i;
+      EXPECT_EQ(a.param, b.param) << i;
+      EXPECT_EQ(a.value, b.value) << i;
+    }
+  }
 }
 
 TEST(PostmortemTest, CleanConformanceTrialHasNoPostmortem) {

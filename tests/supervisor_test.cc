@@ -386,35 +386,44 @@ void ExpectChaosOutcomesIdentical(const ChaosSweepOutcome& a, const ChaosSweepOu
   EXPECT_EQ(a.flight_evicted, b.flight_evicted);
 }
 
-// With no crashed runs the supervised calibration table is field-by-field identical to
-// the unsupervised one, at a multi-worker job count. A 1 ms trial_deadline is given
-// on purpose: chaos trials are bounded in steps, so no wall-clock deadline reaps or
-// retries them, however short.
-TEST(SupervisedChaosTest, HealthySupervisedCalibrationIsBitIdenticalToUnsupervised) {
+// With no crashed runs a supervised calibration row is field-by-field identical to the
+// unsupervised one, at a multi-worker job count. The rows are real: two cases under
+// two mechanism families, each under both fault families (the stall rows end in
+// step-limited, torn-down runs). A 1 ms trial_deadline is given on purpose: chaos
+// trials are bounded in steps, so no wall-clock deadline reaps or retries them,
+// however short.
+TEST(SupervisedChaosTest, HealthySupervisedRowsAreBitIdenticalToUnsupervised) {
   ParallelOptions parallel;
   parallel.jobs = 2;
-  const ChaosCalibrationTable plain =
-      RunChaosCalibration(/*seeds_per_case=*/2, /*base_seed=*/1, /*workload_scale=*/1,
-                          parallel);
-
   ChaosSupervision supervision;
   supervision.enabled = true;
   supervision.options.trial_deadline = milliseconds(1);  // Applies to no chaos trial.
-  const ChaosCalibrationTable supervised =
-      RunChaosCalibration(2, 1, 1, parallel, supervision);
 
-  ASSERT_EQ(supervised.rows.size(), plain.rows.size());
-  for (std::size_t i = 0; i < plain.rows.size(); ++i) {
-    EXPECT_EQ(supervised.rows[i].problem, plain.rows[i].problem);
-    EXPECT_EQ(supervised.rows[i].fault, plain.rows[i].fault);
-    EXPECT_FALSE(supervised.rows[i].quarantined);
-    ExpectChaosOutcomesIdentical(supervised.rows[i].outcome, plain.rows[i].outcome);
+  int rows = 0;
+  for (const ChaosCase& chaos_case : BuildChaosSuite()) {
+    if (chaos_case.display != "Hoare bounded buffer" &&
+        chaos_case.display != "Readers-priority serializer") {
+      continue;
+    }
+    for (const ChaosFaultFamily& family : CalibrationFaultFamilies()) {
+      SCOPED_TRACE(chaos_case.display + " / " + family.name);
+      const FaultPlan plan = MustParseFaultPlan(family.plan_text, /*seed=*/1);
+      ChaosCalibrationRow plain;
+      chaos_internal::SweepChaosRow(chaos_case.trial, plan, /*num_seeds=*/2,
+                                    /*base_seed=*/1, parallel, ChaosSupervision{}, plain);
+      ChaosCalibrationRow supervised;
+      chaos_internal::SweepChaosRow(chaos_case.trial, plan, 2, 1, parallel, supervision,
+                                    supervised);
+      EXPECT_FALSE(supervised.quarantined);
+      ExpectChaosOutcomesIdentical(supervised.outcome, plain.outcome);
+      EXPECT_EQ(supervised.stats.reaped, 0);
+      EXPECT_EQ(supervised.stats.crashed, 0);
+      EXPECT_EQ(supervised.stats.retried, 0);
+      EXPECT_EQ(supervised.stats.quarantined, 0);
+      ++rows;
+    }
   }
-  EXPECT_EQ(supervised.QuarantinedRows(), 0);
-  EXPECT_EQ(supervised.supervisor.reaped, 0);
-  EXPECT_EQ(supervised.supervisor.crashed, 0);
-  EXPECT_EQ(supervised.supervisor.retried, 0);
-  EXPECT_EQ(supervised.supervisor.quarantined, 0);
+  EXPECT_EQ(rows, 4);
 }
 
 // A synthetic row whose fault-on run throws on every third seed: with

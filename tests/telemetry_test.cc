@@ -455,9 +455,7 @@ TEST(PerfettoExportTest, WriteChromeTraceRoundTrips) {
   std::remove(path.c_str());
 }
 
-// ---- Mechanism wiring (compiled-in builds only) -----------------------------------------
-
-#if SYNEVAL_TELEMETRY_ENABLED
+// ---- Mechanism wiring -------------------------------------------------------------------
 
 TEST(MechanismTelemetryTest, SemaphoreReportsWaitHoldAndSignals) {
   MetricsRegistry registry;
@@ -604,8 +602,6 @@ TEST(WatchdogTelemetryTest, WatchdogExportsLoadAdaptiveThreshold) {
   EXPECT_GE(det.effective_stuck_wait_nanos(),
             static_cast<std::int64_t>(load) * 100'000'000);
 }
-
-#endif  // SYNEVAL_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace syneval
